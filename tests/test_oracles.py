@@ -1,6 +1,7 @@
 """Exact solvers against full enumeration and the reduction cross-checks."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from chanrec.oracles import (
     solve_whiterec_exact,
     solve_whiterecinf_exact,
 )
+from record_oracle_golden import GOLDEN_PATH, case_network, solve_all
 
 
 def test_triangle_with_three_channels():
@@ -227,6 +229,15 @@ def test_oracle_is_deterministic():
     fa = solve_feasi_exact(net)
     fb = solve_feasi_exact(net)
     assert fa == fb
+
+
+def test_oracles_match_golden_file():
+    # objective bits, leaf counts, flags and assignments recorded by
+    # tests/record_oracle_golden.py; a diff means the search itself changed
+    cases = json.loads(GOLDEN_PATH.read_text())
+    assert len(cases) == 84
+    for case in cases:
+        assert solve_all(case_network(case)) == case["solves"], case["seed"]
 
 
 def test_edgeless_instances():
