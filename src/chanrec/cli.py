@@ -121,11 +121,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     net = _load_network(args.net)
     with open(args.assignment) as fh:
         y = parse_assignment(fh.read(), net)
-    mode = args.mode
-    if mode == "auto":
-        mode = "exact" if net.n_nodes <= args.oddset_cap else "bracket"
-    rec = recovery_capacity(net, y, args.k, mode=mode, oddset_exact_cap=args.oddset_cap)
-    feas = feasibility_ratio(net, y, mode=mode, oddset_exact_cap=args.oddset_cap)
+    cap = args.oddset_cap
+    rec = recovery_capacity(net, y, args.k, mode=args.mode, oddset_exact_cap=cap)
+    feas = feasibility_ratio(net, y, mode=args.mode, oddset_exact_cap=cap)
     report = rec.to_json_dict()
     report.update(feas.to_json_dict())
     _write_out(_render(report) + "\n", args.out)

@@ -19,6 +19,7 @@ wall-clock time is not.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -28,7 +29,6 @@ import numpy as np
 
 from .assign import greedy_assign, ifa_assign, random_assign
 from .metrics import (
-    ODDSET_EXACT_CAP,
     FeasibilityReport,
     RecoveryReport,
     feasibility_ratio,
@@ -69,8 +69,8 @@ class InstanceSpec:
         if self.degree_cap < 0:
             raise ValueError("degree_cap must be >= 0")
         for lo, hi in (self.demand_range, self.capacity_range):
-            if lo <= 0 or hi < lo:
-                raise ValueError("ranges must satisfy 0 < lo <= hi")
+            if not 0.0 < lo <= hi < math.inf:
+                raise ValueError("ranges must satisfy 0 < lo <= hi < inf")
 
 
 def generate_instance(spec: InstanceSpec, seed: int) -> Network:
@@ -183,10 +183,6 @@ def write_records_csv(records: Iterable[ExperimentRecord], path: str) -> None:
             fh.write(rec.csv_row() + "\n")
 
 
-def _beta_value(feas: FeasibilityReport) -> float:
-    return feas.beta_lo
-
-
 def make_record(
     instance_id: int,
     seed: int,
@@ -216,7 +212,7 @@ def make_record(
         m2_hi=m2_hi,
         capacity_lo=float(rec.capacity_lo),
         capacity_hi=float(cap_hi),
-        beta=float(_beta_value(feas)),
+        beta=float(feas.beta_lo),
         l_tot=float(l_tot),
         ratio=float(cap_hi / l_tot) if l_tot > 0 else 0.0,
         runtime_ms=runtime_ms,
@@ -227,10 +223,12 @@ def make_record(
 
 
 def _run_tasks(tasks: list, fn, jobs: int) -> list:
-    if jobs <= 1:
+    # never more workers than CPUs or tasks; results keep the task order
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(tasks) // (jobs * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, len(tasks) // (workers * 4))
         return list(pool.map(fn, tasks, chunksize=chunk))
 
 
@@ -242,9 +240,8 @@ def _scaling_task(args: tuple) -> ExperimentRecord:
     t0 = time.perf_counter()
     net = generate_instance(spec, seed)
     y = ifa_assign(net)
-    mode = "exact" if net.n_nodes <= ODDSET_EXACT_CAP else "bracket"
-    rec = recovery_capacity(net, y, k, mode=mode)
-    feas = feasibility_ratio(net, y, mode=mode)
+    rec = recovery_capacity(net, y, k, mode="auto")
+    feas = feasibility_ratio(net, y, mode="auto")
     dt = (time.perf_counter() - t0) * 1000.0
     return make_record(instance_id, seed, net, k, "ifa", y, rec, feas, dt)
 

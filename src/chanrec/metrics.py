@@ -20,8 +20,9 @@ odd-set capacity constraint still holds.  ``beta >= 1`` means the assignment
 is feasible as given.
 
 Exact odd-set evaluation enumerates all odd subsets and is capped at
-``ODDSET_EXACT_CAP`` nodes; above that, bracket variants return certified
-lower/upper bounds instead.
+``ODDSET_EXACT_CAP`` nodes by default; above that, bracket variants return
+certified lower/upper bounds instead.  The cap itself may not exceed
+``ODDSET_CAP_LIMIT``: the enumeration allocates arrays of 2^n entries.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from .netmodel import ChannelAssignment, Network, check_assignment
 
 TOL = 1e-9
 ODDSET_EXACT_CAP = 18
+# 2^22 subset masks take 32 MiB per int64 array; each further node doubles it
+ODDSET_CAP_LIMIT = 22
 
 IFA_CAPACITY_RATIO_BOUND = 1.25
 
@@ -69,6 +72,25 @@ class OddSetConstraintWitness(NamedTuple):
 
 
 # -- shared load tables ---------------------------------------------------
+
+
+def _check_cap(oddset_exact_cap: int) -> None:
+    """Refuse an exact-enumeration cap whose tables could not be allocated."""
+    if oddset_exact_cap > ODDSET_CAP_LIMIT:
+        raise ValueError(
+            f"oddset_exact_cap {oddset_exact_cap} exceeds the limit of "
+            f"{ODDSET_CAP_LIMIT} nodes (exact enumeration allocates 2^n entries)"
+        )
+
+
+def _resolve_mode(net: Network, mode: str, oddset_exact_cap: int) -> str:
+    """'exact' or 'bracket'; 'auto' is exact up to ``oddset_exact_cap`` nodes."""
+    _check_cap(oddset_exact_cap)
+    if mode == "auto":
+        mode = "exact" if net.n_nodes <= oddset_exact_cap else "bracket"
+    if mode not in ("exact", "bracket"):
+        raise ValueError(f"unknown mode '{mode}'")
+    return mode
 
 
 def channel_load_at_node(
@@ -185,6 +207,7 @@ def max_odd_set_load_exact(
     check_assignment(net, y)
     if k < 1:
         raise ValueError("k must be >= 1")
+    _check_cap(oddset_exact_cap)
     if net.n_nodes > oddset_exact_cap:
         raise ValueError(
             f"exact odd-set enumeration disabled above {oddset_exact_cap} nodes; "
@@ -353,10 +376,7 @@ def recovery_capacity(
     """Evaluate the recovery capacity of assignment y at preemption level k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if mode == "auto":
-        mode = "exact" if net.n_nodes <= oddset_exact_cap else "bracket"
-    if mode not in ("exact", "bracket"):
-        raise ValueError(f"unknown mode '{mode}'")
+    mode = _resolve_mode(net, mode, oddset_exact_cap)
     m1, wit1 = max_node_load(net, y, k)
     if mode == "exact":
         m2, wit2 = max_odd_set_load_exact(net, y, k, oddset_exact_cap)
@@ -458,10 +478,7 @@ def feasibility_ratio(
 ) -> FeasibilityReport:
     """Compute the feasibility margins of assignment y."""
     check_assignment(net, y)
-    if mode == "auto":
-        mode = "exact" if net.n_nodes <= oddset_exact_cap else "bracket"
-    if mode not in ("exact", "bracket"):
-        raise ValueError(f"unknown mode '{mode}'")
+    mode = _resolve_mode(net, mode, oddset_exact_cap)
 
     # Node margin: smallest slack 1/load over node-channel pairs with load.
     z1 = math.inf

@@ -10,6 +10,7 @@ channel contend with each other.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -24,6 +25,11 @@ def _require(cond: bool, msg: str) -> None:
         raise FormatError(msg)
 
 
+def _not_positive_finite(x: float, where: str, name: str) -> FormatError:
+    kind = "nonpositive" if x <= 0 else "non-finite"
+    return FormatError(f"{where}: {kind} {name}")
+
+
 @dataclass(frozen=True)
 class Network:
     """Immutable network instance.
@@ -31,7 +37,8 @@ class Network:
     Fields use dense indices: node u is ``node_names[u]``, channel w is
     ``channel_names[w]``, edge e is ``edges[e]`` with demand ``demands[e]``
     and per-channel capacity ``capacity[w][e]``.  Edges are stored with
-    ``u < v`` and no duplicates; demands and capacities are positive.
+    ``u < v`` and no duplicates; demands and capacities are positive and
+    finite, and so is the total demand, so no load sum overflows.
     """
 
     node_names: tuple[str, ...]
@@ -52,13 +59,18 @@ class Network:
             _require((u, v) not in seen, f"edges[{i}]: duplicate edge")
             seen.add((u, v))
         _require(len(self.demands) == m, "demands: one demand per edge required")
+        # 0 < x < inf in one comparison rejects NaN, infinities and nonpositive
+        # values alike
         for i, r in enumerate(self.demands):
-            _require(r > 0, f"edges[{i}]: nonpositive demand")
+            if not 0.0 < r < math.inf:
+                raise _not_positive_finite(r, f"edges[{i}]", "demand")
+        _require(sum(self.demands) < math.inf, "demands: total demand overflows")
         _require(len(self.capacity) == w, "capacity: one row per channel required")
         for wi, row in enumerate(self.capacity):
             _require(len(row) == m, f"capacity[{wi}]: one entry per edge required")
             for i, c in enumerate(row):
-                _require(c > 0, f"capacity[{wi}][{i}]: nonpositive capacity")
+                if not 0.0 < c < math.inf:
+                    raise _not_positive_finite(c, f"capacity[{wi}][{i}]", "capacity")
 
     # -- basic sizes ------------------------------------------------------
 
@@ -121,25 +133,6 @@ class Network:
 
 
 @dataclass(frozen=True)
-class OddSet:
-    """An odd subset of nodes with at least three members, kept sorted."""
-
-    nodes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        ns = self.nodes
-        if len(ns) < 3 or len(ns) % 2 == 0:
-            raise ValueError("odd set needs odd cardinality >= 3")
-        if len(set(ns)) != len(ns) or any(v < 0 for v in ns):
-            raise ValueError("odd set members must be distinct non-negative indices")
-        if tuple(sorted(ns)) != ns:
-            object.__setattr__(self, "nodes", tuple(sorted(ns)))
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-
-@dataclass(frozen=True)
 class ChannelAssignment:
     """Total map from edge index to channel index."""
 
@@ -175,6 +168,18 @@ def check_assignment(net: Network, y: ChannelAssignment) -> None:
 #
 # Assignment document:
 #   {"assignment": {"0": "w1", "1": "w0", ...}}   # edge index -> channel name
+
+
+def _is_number(x: object) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _number(x: object, where: str) -> float:
+    _require(_is_number(x), f"{where}: expected a number")
+    try:
+        return float(x)
+    except OverflowError:  # an integer literal beyond float range
+        raise FormatError(f"{where}: number out of range") from None
 
 
 def parse_network(text: str | bytes) -> Network:
@@ -213,17 +218,14 @@ def parse_network(text: str | bytes) -> Network:
             )
         u, v = node_index[rec["u"]], node_index[rec["v"]]
         _require(u != v, f"edges[{i}]: self loop at '{rec['u']}'")
-        _require(
-            isinstance(rec["demand"], (int, float)) and not isinstance(rec["demand"], bool),
-            f"edges[{i}].demand: expected a number",
-        )
         edges.append((min(u, v), max(u, v)))
-        demands.append(float(rec["demand"]))
+        demands.append(_number(rec["demand"], f"edges[{i}].demand"))
 
     cap = doc["capacity"]
     m, w = len(edges), len(channels)
-    if isinstance(cap, (int, float)) and not isinstance(cap, bool):
-        matrix = tuple(tuple(float(cap) for _ in range(m)) for _ in range(w))
+    if _is_number(cap):
+        c = _number(cap, "capacity")
+        matrix = tuple(tuple(c for _ in range(m)) for _ in range(w))
     else:
         _require(isinstance(cap, list), "capacity: expected a number or a matrix")
         _require(len(cap) == w, "capacity: one row per channel required")
@@ -233,12 +235,9 @@ def parse_network(text: str | bytes) -> Network:
                 isinstance(row, list) and len(row) == m,
                 f"capacity[{wi}]: expected {m} entries",
             )
-            for i, c in enumerate(row):
-                _require(
-                    isinstance(c, (int, float)) and not isinstance(c, bool),
-                    f"capacity[{wi}][{i}]: expected a number",
-                )
-            rows.append(tuple(float(c) for c in row))
+            rows.append(
+                tuple(_number(c, f"capacity[{wi}][{i}]") for i, c in enumerate(row))
+            )
         matrix = tuple(rows)
 
     return Network(

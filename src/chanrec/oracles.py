@@ -1,4 +1,4 @@
-"""Exact solvers for small instances, by pruned exhaustive search.
+"""Exact solvers for small instances, by one pruned exhaustive search.
 
 Three problems over all |W|^|E| channel assignments:
 
@@ -8,22 +8,30 @@ Three problems over all |W|^|E| channel assignments:
   ignored;
 * ``solve_feasi_exact``: maximize the feasibility margin ``beta``.
 
+All three run the same branch and bound, ``_search``, which minimizes a leaf
+value: the recovery capacity, or ``-beta`` for feasi (negation is exact, so
+the search takes the same decisions as one maximizing ``beta``).  A
+``_Problem`` supplies the work of one (edge, channel) step and the value of a
+leaf.
+
 The search assigns edges in descending demand order (ties by index) and
-channels in ascending order.  Capacity searches prune on a lower bound that
-combines the node term of the partially assigned edges with a static floor:
-every node eventually spreads its demand over the channels, so its top-k
-channels carry at least k/|W| of its incident total.  Feasibility constraints
-prune as soon as a node constraint is violated; odd-set constraints are
-checked at leaves only.  All tie-breaks are deterministic: the incumbent is
-seeded with the interference-free, greedy, and seed-0 random assignments (in
-that order) and only strictly better leaves replace it, so the result is the
-first optimum in that fixed order.
+channels in ascending order.  Capacity searches bound a partial assignment by
+its node term and a static floor: every node eventually spreads its demand
+over the channels, so its top-k channels carry at least k/|W| of its incident
+total.  Feasi bounds it by ``-z1``, the negated node margin, which only grows
+as edges are added.  Whiterec prunes as soon as a node constraint is
+violated; odd-set constraints are checked at leaves only.  All tie-breaks are
+deterministic: the incumbent is seeded with the interference-free, greedy,
+and seed-0 random assignments (in that order), replayed through ``place`` in
+edge-index order, and only strictly better leaves replace it, so the result
+is the first optimum in that fixed order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -74,235 +82,283 @@ class OracleResult:
         }
 
 
-class _Tables:
-    """Precomputed odd-set data for fast leaf evaluation.
-
-    Capacity side: only subsets whose best possible contribution exceeds the
-    static capacity floor are kept (others can never raise max(m1, m2) above
-    m1).  Feasibility side: only subsets that could violate their constraint
-    under the worst channel choice are kept; the margin side keeps every
-    subset with induced demand.
-    """
-
-    def __init__(self, net: Network, k: int, need_feas: bool, need_margin: bool):
-        n, m, w = net.n_nodes, net.n_edges, net.n_channels
-        self.k_eff = min(k, w) if k >= 1 else 1
-        dem = np.asarray(net.demands)
-        masks, sizes = _odd_masks(n)
-        member = np.zeros((len(masks), m))
-        for e, (u, v) in enumerate(net.edges):
-            member[:, e] = ((masks >> u) & (masks >> v) & 1).astype(np.float64)
-        tot = member @ dem
-        scale = 2.0 / (sizes - 1.0) if len(sizes) else np.zeros(0)
-
-        floor0 = capacity_floor(net, max(k, 1))
-        keep = scale * tot > floor0 * (1.0 + 1e-12)
-        self.member_cap = member[keep]
-        self.scale_cap = scale[keep]
-
-        self.rho = np.array(
-            [[net.demands[e] / net.capacity[wi][e] for wi in range(w)] for e in range(m)]
-        )
-        limits = (sizes - 1.0) / 2.0
-        if need_feas:
-            rho_max = self.rho.max(axis=1) if m else np.zeros(0)
-            wmax = member @ rho_max
-            keep_f = wmax > limits / (1.0 - TOL)
-            self.member_feas = member[keep_f]
-            self.limits_feas = limits[keep_f]
-        if need_margin:
-            keep_m = tot > 0.0
-            self.member_margin = member[keep_m]
-            self.limits_margin = limits[keep_m]
-
-    def oddset_term(self, net: Network, a: np.ndarray) -> float:
-        if not len(self.member_cap):
-            return 0.0
-        onehot = np.zeros((net.n_edges, net.n_channels))
-        onehot[np.arange(net.n_edges), a] = net.demands
-        loads = self.member_cap @ onehot
-        if self.k_eff < net.n_channels:
-            loads = np.sort(loads, axis=1)[:, net.n_channels - self.k_eff :]
-        return float((self.scale_cap * loads.sum(axis=1)).max())
-
-    def _oddset_margins(
-        self, net: Network, a: np.ndarray, member: np.ndarray, limits: np.ndarray
-    ) -> float:
-        if not len(member):
-            return math.inf
-        onehot = np.zeros((net.n_edges, net.n_channels))
-        idx = np.arange(net.n_edges)
-        onehot[idx, a] = self.rho[idx, a]
-        loads = member @ onehot
-        with np.errstate(divide="ignore"):
-            margins = np.where(loads > 0.0, limits[:, None] / loads, math.inf)
-        return float(margins.min())
-
-    def oddset_feasible(self, net: Network, a: np.ndarray, z1: float) -> bool:
-        z2 = self._oddset_margins(net, a, self.member_feas, self.limits_feas)
-        return min(z1, z2) >= 1.0 - TOL
-
-    def oddset_margin_full(self, net: Network, a: np.ndarray) -> float:
-        return self._oddset_margins(net, a, self.member_margin, self.limits_margin)
+# -- shared odd-set tables ------------------------------------------------
 
 
-def _check_oracle_instance(net: Network) -> None:
-    if net.n_nodes > ODDSET_EXACT_CAP:
-        raise ValueError(
-            f"exact solvers enumerate odd sets and stop at {ODDSET_EXACT_CAP} nodes"
-        )
+def _odd_membership(net: Network) -> tuple[np.ndarray, np.ndarray]:
+    """0/1 matrix (odd set, edge) of the edges induced by each odd set, and
+    the odd sets' sizes."""
+    masks, sizes = _odd_masks(net.n_nodes)
+    member = np.zeros((len(masks), net.n_edges))
+    for e, (u, v) in enumerate(net.edges):
+        member[:, e] = ((masks >> u) & (masks >> v) & 1).astype(np.float64)
+    return member, sizes
+
+
+def _weighted_demands(net: Network) -> np.ndarray:
+    """rho[e, w]: demand of edge e as a fraction of its capacity on w."""
+    return np.array(
+        [
+            [net.demands[e] / net.capacity[w][e] for w in range(net.n_channels)]
+            for e in range(net.n_edges)
+        ]
+    )
+
+
+def _oddset_margin(
+    a: np.ndarray, rho: np.ndarray, member: np.ndarray, limits: np.ndarray
+) -> float:
+    """Smallest odd-set scaling margin of assignment ``a`` over ``member``."""
+    if not len(member):
+        return math.inf
+    onehot = np.zeros(rho.shape)
+    idx = np.arange(len(a))
+    onehot[idx, a] = rho[idx, a]
+    loads = member @ onehot
+    with np.errstate(divide="ignore"):
+        margins = np.where(loads > 0.0, limits[:, None] / loads, math.inf)
+    return float(margins.min())
 
 
 def _node_margin(wload: float) -> float:
     return 1.0 / wload if wload > 0.0 else math.inf
 
 
-def _solve_capacity(
-    net: Network, k: int, limit: int, constrained: bool
-) -> OracleResult:
-    problem = "whiterec" if constrained else "whiterecinf"
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    _check_oracle_instance(net)
-    if net.n_edges == 0:
-        return OracleResult(problem, 0.0, ChannelAssignment(()), 1, True)
+# -- problems -------------------------------------------------------------
 
-    m, w = net.n_edges, net.n_channels
+
+class _Problem(NamedTuple):
+    """One objective for :func:`_search`.
+
+    A state is ``(bound, z1)``: a lower bound on every leaf value below it
+    and the node margin of the placed edges.  ``place(e, w, state, best)``
+    adds edge e on channel w to the load tables and returns the child's
+    state, or undoes itself and returns None when the child's bound is not
+    below ``best``; ``unplace(e, w)`` takes a placed edge back out.  A
+    returned child is searched only if its ``z1 >= z1_min``.  ``leaf(a,
+    state)`` values a complete assignment (``inf`` if it does not qualify).
+    The search stops early once the incumbent reaches ``floor``.
+    """
+
+    place: Callable
+    unplace: Callable
+    leaf: Callable
+    floor: float
+    z1_min: float
+
+
+def _capacity(net: Network, k: int, constrained: bool) -> _Problem:
+    """Recovery capacity at level k; ``constrained`` adds whiterec's
+    feasibility constraints, tracked with weighted node loads."""
+    n, w = net.n_nodes, net.n_channels
     k_eff = min(k, w)
+    cut = w - k_eff
+    edges, dem = net.edges, net.demands
+    floor = capacity_floor(net, k)
     frac = k_eff / w
-    dem = net.demands
-    tables = _Tables(net, k, need_feas=constrained, need_margin=False)
-    order = sorted(range(m), key=lambda e: (-dem[e], e))
-    node_total = [
-        sum(dem[e] for e in net.incident_edges(v)) for v in range(net.n_nodes)
+    share = [
+        frac * sum(dem[e] for e in net.incident_edges(v)) for v in range(n)
     ]
-    floor0 = capacity_floor(net, k)
+    loads = [[0.0] * w for _ in range(n)]
 
-    loads = [[0.0] * w for _ in range(net.n_nodes)]
-    wloads = [[0.0] * w for _ in range(net.n_nodes)]
+    # Odd sets whose best contribution cannot exceed the floor never raise
+    # max(m1, m2) above m1, so the leaf ignores them.
+    member, sizes = _odd_membership(net)
+    scale = 2.0 / (sizes - 1.0)
+    keep = scale * (member @ np.asarray(dem)) > floor * (1.0 + 1e-12)
+    member_cap, scale_cap = member[keep], scale[keep]
+
+    if constrained:
+        rho = _weighted_demands(net)
+        rho_of = rho.tolist()
+        wloads = [[0.0] * w for _ in range(n)]
+        # only odd sets that some channel choice could overload
+        limits = (sizes - 1.0) / 2.0
+        keep_f = member @ rho.max(axis=1) > limits / (1.0 - TOL)
+        member_feas, limits_feas = member[keep_f], limits[keep_f]
+
+    def place(e, ww, state, best):
+        lb, z1 = state
+        u, v = edges[e]
+        lu, lv = loads[u], loads[v]
+        r = dem[e]
+        lu[ww] += r
+        lv[ww] += r
+        nb = max(
+            lb,
+            max(sum(sorted(lu)[cut:]), share[u]),
+            max(sum(sorted(lv)[cut:]), share[v]),
+        )
+        if nb >= best:
+            lu[ww] -= r
+            lv[ww] -= r
+            return None
+        if constrained:
+            wu, wv = wloads[u], wloads[v]
+            p = rho_of[e][ww]
+            wu[ww] += p
+            wv[ww] += p
+            z1 = min(z1, _node_margin(wu[ww]), _node_margin(wv[ww]))
+        return nb, z1
+
+    def unplace(e, ww):
+        u, v = edges[e]
+        if constrained:
+            p = rho_of[e][ww]
+            wloads[u][ww] -= p
+            wloads[v][ww] -= p
+        r = dem[e]
+        loads[u][ww] -= r
+        loads[v][ww] -= r
+
+    def leaf(a, state):
+        if constrained:
+            z2 = _oddset_margin(a, rho, member_feas, limits_feas)
+            if min(state[1], z2) < 1.0 - TOL:
+                return math.inf
+        m1 = max(sum(sorted(lv)[cut:]) for lv in loads)
+        if not len(member_cap):
+            return max(m1, 0.0)
+        onehot = np.zeros((len(a), w))
+        onehot[np.arange(len(a)), a] = dem
+        oddset = member_cap @ onehot
+        if cut:
+            oddset = np.sort(oddset, axis=1)[:, cut:]
+        return max(m1, float((scale_cap * oddset.sum(axis=1)).max()))
+
+    z1_min = 1.0 - TOL if constrained else -math.inf
+    return _Problem(place, unplace, leaf, floor, z1_min)
+
+
+def _margin(net: Network) -> _Problem:
+    """Feasibility margin, as the leaf value ``-beta``."""
+    n, w = net.n_nodes, net.n_channels
+    edges = net.edges
+    rho = _weighted_demands(net)
+    rho_of = rho.tolist()
+    wloads = [[0.0] * w for _ in range(n)]
+    member, sizes = _odd_membership(net)
+    keep = member @ np.asarray(net.demands) > 0.0
+    member, limits = member[keep], ((sizes - 1.0) / 2.0)[keep]
+
+    def place(e, ww, state, best):
+        u, v = edges[e]
+        wu, wv = wloads[u], wloads[v]
+        p = rho_of[e][ww]
+        wu[ww] += p
+        wv[ww] += p
+        z1 = min(state[1], _node_margin(wu[ww]), _node_margin(wv[ww]))
+        if -z1 < best:
+            return -z1, z1
+        wu[ww] -= p
+        wv[ww] -= p
+        return None
+
+    def unplace(e, ww):
+        u, v = edges[e]
+        p = rho_of[e][ww]
+        wloads[u][ww] -= p
+        wloads[v][ww] -= p
+
+    def leaf(a, state):
+        return -min(state[1], _oddset_margin(a, rho, member, limits))
+
+    return _Problem(place, unplace, leaf, -math.inf, -math.inf)
+
+
+# -- search ---------------------------------------------------------------
+
+
+def _search(
+    net: Network, problem: _Problem, limit: int
+) -> tuple[float, tuple[int, ...] | None, int, bool]:
+    """Minimize ``problem.leaf`` over all assignments.
+
+    Returns the best value (``inf`` if no leaf qualifies), its assignment,
+    the number of leaves evaluated and whether the search ran to the end.
+    """
+    place, unplace, leaf, floor, z1_min = problem
+    m, w = net.n_edges, net.n_channels
+    dem = net.demands
+    order = sorted(range(m), key=lambda e: (-dem[e], e))
+    root = (floor, math.inf)
     a = np.full(m, -1, dtype=np.int64)
 
-    best_val = math.inf
+    best = math.inf
     best_assignment: tuple[int, ...] | None = None
     explored = 0
     out_of_budget = False
 
-    def leaf_value(vec: np.ndarray, z1: float) -> float | None:
-        """Exact capacity of a complete assignment, None if infeasible."""
-        if constrained and not tables.oddset_feasible(net, vec, z1):
-            return None
-        m1 = 0.0
-        for v in range(net.n_nodes):
-            lv = loads[v]
-            top = sum(sorted(lv)[w - k_eff :])
-            if top > m1:
-                m1 = top
-        return max(m1, tables.oddset_term(net, vec))
-
-    def eval_candidate(y: ChannelAssignment) -> None:
-        nonlocal best_val, best_assignment, explored
-        vec = np.asarray(y.channel_of, dtype=np.int64)
-        for e in range(m):
-            u, v = net.edges[e]
-            ww = y.channel_of[e]
-            loads[u][ww] += dem[e]
-            loads[v][ww] += dem[e]
-            wloads[u][ww] += tables.rho[e, ww]
-            wloads[v][ww] += tables.rho[e, ww]
-        z1 = math.inf
-        for v in range(net.n_nodes):
-            for ww in range(w):
-                z1 = min(z1, _node_margin(wloads[v][ww]))
-        explored += 1
-        ok = (not constrained) or z1 >= 1.0 - TOL
-        if ok:
-            val = leaf_value(vec, z1)
-            if val is not None and val < best_val:
-                best_val = val
-                best_assignment = tuple(y.channel_of)
-        for e in range(m):
-            u, v = net.edges[e]
-            ww = y.channel_of[e]
-            loads[u][ww] -= dem[e]
-            loads[v][ww] -= dem[e]
-            wloads[u][ww] -= tables.rho[e, ww]
-            wloads[v][ww] -= tables.rho[e, ww]
-
+    # Seed the incumbent.  Demands have a finite total, so no bound reaches
+    # inf and every replayed edge is placed.
     for cand in (ifa_assign(net), greedy_assign(net), random_assign(net, 0)):
         if explored >= limit:
             out_of_budget = True
             break
-        eval_candidate(cand)
+        y = cand.channel_of
+        state = root
+        for e in range(m):
+            state = place(e, y[e], state, math.inf)
+        explored += 1
+        if state[1] >= z1_min:
+            val = leaf(np.asarray(y, dtype=np.int64), state)
+            if val < best:
+                best, best_assignment = val, tuple(y)
+        for e in range(m):
+            unplace(e, y[e])
+    done = best <= floor  # nothing can beat the floor
 
-    done = best_val <= floor0  # nothing can beat the static floor
-
-    def dfs(pos: int, lb: float, z1: float) -> None:
-        nonlocal best_val, best_assignment, explored, out_of_budget, done
-        if done or out_of_budget:
-            return
+    def dfs(pos: int, state: tuple[float, float]) -> None:
+        nonlocal best, best_assignment, explored, out_of_budget, done
         if pos == m:
             if explored >= limit:
                 out_of_budget = True
                 return
             explored += 1
-            val = leaf_value(a, z1)
-            if val is not None and val < best_val:
-                best_val = val
-                best_assignment = tuple(int(x) for x in a)
-                if best_val <= floor0:
-                    done = True
+            val = leaf(a, state)
+            if val < best:
+                best, best_assignment = val, tuple(a.tolist())
+                done = best <= floor
             return
         e = order[pos]
-        u, v = net.edges[e]
-        r = dem[e]
-        lu, lv = loads[u], loads[v]
-        wu, wv = wloads[u], wloads[v]
         for ww in range(w):
-            lu[ww] += r
-            lv[ww] += r
-            top_u = sum(sorted(lu)[w - k_eff :])
-            top_v = sum(sorted(lv)[w - k_eff :])
-            nb = max(
-                lb,
-                max(top_u, frac * node_total[u]),
-                max(top_v, frac * node_total[v]),
-            )
-            if nb < best_val:
-                if constrained:
-                    rho = tables.rho[e, ww]
-                    wu[ww] += rho
-                    wv[ww] += rho
-                    nz1 = min(z1, _node_margin(wu[ww]), _node_margin(wv[ww]))
-                    if nz1 >= 1.0 - TOL:
-                        a[e] = ww
-                        dfs(pos + 1, nb, nz1)
-                        a[e] = -1
-                    wu[ww] -= rho
-                    wv[ww] -= rho
-                else:
+            child = place(e, ww, state, best)
+            if child is not None:
+                if child[1] >= z1_min:
                     a[e] = ww
-                    dfs(pos + 1, nb, z1)
+                    dfs(pos + 1, child)
                     a[e] = -1
-            lu[ww] -= r
-            lv[ww] -= r
+                unplace(e, ww)
             if done or out_of_budget:
                 return
 
     if not done and not out_of_budget:
-        dfs(0, floor0, math.inf)
+        dfs(0, root)
+    return best, best_assignment, explored, not out_of_budget
 
-    if best_assignment is None:
-        return OracleResult(
-            problem, math.inf, None, explored, not out_of_budget
+
+def _solve(name: str, net: Network, k: int, limit: int) -> OracleResult:
+    feasi = name == "feasi"
+    if not feasi and k < 1:
+        raise ValueError("k must be >= 1")
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
+    if net.n_nodes > ODDSET_EXACT_CAP:
+        raise ValueError(
+            f"exact solvers enumerate odd sets and stop at {ODDSET_EXACT_CAP} nodes"
         )
+    if net.n_edges == 0:
+        return OracleResult(
+            name, math.inf if feasi else 0.0, ChannelAssignment(()), 1, True
+        )
+    problem = _margin(net) if feasi else _capacity(net, k, name == "whiterec")
+    best, y, explored, proven = _search(net, problem, limit)
     return OracleResult(
-        problem,
-        best_val,
-        ChannelAssignment(best_assignment),
+        name,
+        -best if feasi else best,
+        None if y is None else ChannelAssignment(y),
         explored,
-        not out_of_budget,
+        proven,
     )
 
 
@@ -310,103 +366,16 @@ def solve_whiterec_exact(
     net: Network, k: int, limit: int = DEFAULT_LEAF_BUDGET
 ) -> OracleResult:
     """Minimum recovery capacity over feasible assignments."""
-    return _solve_capacity(net, k, limit, constrained=True)
+    return _solve("whiterec", net, k, limit)
 
 
 def solve_whiterecinf_exact(
     net: Network, k: int, limit: int = DEFAULT_LEAF_BUDGET
 ) -> OracleResult:
     """Minimum recovery capacity over all assignments, capacities ignored."""
-    return _solve_capacity(net, k, limit, constrained=False)
+    return _solve("whiterecinf", net, k, limit)
 
 
 def solve_feasi_exact(net: Network, limit: int = DEFAULT_LEAF_BUDGET) -> OracleResult:
     """Maximum feasibility margin beta over all assignments."""
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    _check_oracle_instance(net)
-    if net.n_edges == 0:
-        return OracleResult("feasi", math.inf, ChannelAssignment(()), 1, True)
-
-    m, w = net.n_edges, net.n_channels
-    dem = net.demands
-    tables = _Tables(net, 1, need_feas=False, need_margin=True)
-    order = sorted(range(m), key=lambda e: (-dem[e], e))
-
-    wloads = [[0.0] * w for _ in range(net.n_nodes)]
-    a = np.full(m, -1, dtype=np.int64)
-
-    best_val = -math.inf
-    best_assignment: tuple[int, ...] | None = None
-    explored = 0
-    out_of_budget = False
-
-    def eval_candidate(y: ChannelAssignment) -> None:
-        nonlocal best_val, best_assignment, explored
-        vec = np.asarray(y.channel_of, dtype=np.int64)
-        z1 = math.inf
-        for e in range(m):
-            u, v = net.edges[e]
-            ww = y.channel_of[e]
-            wloads[u][ww] += tables.rho[e, ww]
-            wloads[v][ww] += tables.rho[e, ww]
-        for v in range(net.n_nodes):
-            for ww in range(w):
-                z1 = min(z1, _node_margin(wloads[v][ww]))
-        explored += 1
-        val = min(z1, tables.oddset_margin_full(net, vec))
-        if val > best_val:
-            best_val = val
-            best_assignment = tuple(y.channel_of)
-        for e in range(m):
-            u, v = net.edges[e]
-            ww = y.channel_of[e]
-            wloads[u][ww] -= tables.rho[e, ww]
-            wloads[v][ww] -= tables.rho[e, ww]
-
-    for cand in (ifa_assign(net), greedy_assign(net), random_assign(net, 0)):
-        if explored >= limit:
-            out_of_budget = True
-            break
-        eval_candidate(cand)
-
-    def dfs(pos: int, z1: float) -> None:
-        nonlocal best_val, best_assignment, explored, out_of_budget
-        if out_of_budget:
-            return
-        if pos == m:
-            if explored >= limit:
-                out_of_budget = True
-                return
-            explored += 1
-            val = min(z1, tables.oddset_margin_full(net, a))
-            if val > best_val:
-                best_val = val
-                best_assignment = tuple(int(x) for x in a)
-            return
-        e = order[pos]
-        u, v = net.edges[e]
-        wu, wv = wloads[u], wloads[v]
-        for ww in range(w):
-            rho = tables.rho[e, ww]
-            wu[ww] += rho
-            wv[ww] += rho
-            nz1 = min(z1, _node_margin(wu[ww]), _node_margin(wv[ww]))
-            if nz1 > best_val:
-                a[e] = ww
-                dfs(pos + 1, nz1)
-                a[e] = -1
-            wu[ww] -= rho
-            wv[ww] -= rho
-            if out_of_budget:
-                return
-
-    dfs(0, math.inf)
-
-    return OracleResult(
-        "feasi",
-        best_val,
-        ChannelAssignment(best_assignment) if best_assignment is not None else None,
-        explored,
-        not out_of_budget,
-    )
+    return _solve("feasi", net, 1, limit)

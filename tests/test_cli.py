@@ -1,6 +1,7 @@
 """Exit codes, report schemas, and byte-level determinism of the CLI."""
 
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 from conftest import cli_env
+from chanrec import metrics
 from chanrec.cli import main
 from chanrec.netmodel import make_network, parse_assignment, parse_network, serialize_network
 
@@ -97,6 +99,67 @@ def test_usage_errors(tmp_path, k3_file):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     assert main(["assign", "--net", str(bad), "--alg", "greedy"]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, demand, capacity, msg",
+    [
+        ("eval", math.inf, 1.0, "non-finite demand"),
+        ("oracle", math.inf, 1.0, "non-finite demand"),
+        ("eval", 1.0, math.inf, "non-finite capacity"),
+        ("eval", 10**400, 1.0, "number out of range"),
+        ("eval", math.nan, 1.0, "non-finite demand"),
+        ("study", None, None, "< inf"),
+    ],
+)
+def test_non_finite_and_overflowing_numbers_exit_2(
+    tmp_path, capsys, command, demand, capacity, msg
+):
+    if command == "study":
+        argv = [
+            "study", "--kind", "scaling", "--sizes", "5", "--channels", "2",
+            "--trials", "1", "--uniform-demand", "inf",
+        ]
+    else:
+        doc = {
+            "nodes": ["a", "b", "c"],
+            "channels": ["w0"],
+            "edges": [
+                {"u": "a", "v": "b", "demand": demand},
+                {"u": "b", "v": "c", "demand": 1.0},
+            ],
+            "capacity": capacity,
+        }
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(doc))  # writes Infinity / NaN literals
+        y = tmp_path / "y.json"
+        y.write_text(json.dumps({"assignment": {"0": "w0", "1": "w0"}}))
+        if command == "eval":
+            argv = ["eval", "--net", str(net), "--assignment", str(y)]
+        else:
+            argv = ["oracle", "--net", str(net), "--problem", "feasi"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and msg in captured.err
+
+
+def test_oddset_cap_over_limit_rejected_before_allocation(
+    tmp_path, k3_file, capsys, monkeypatch
+):
+    y = tmp_path / "y.json"
+    assert main(["assign", "--net", k3_file, "--alg", "greedy", "--out", str(y)]) == 0
+    args = ["eval", "--net", k3_file, "--assignment", str(y), "--oddset-cap"]
+    assert main(args + [str(metrics.ODDSET_CAP_LIMIT)]) == 0
+    capsys.readouterr()
+
+    def no_tables(n_nodes):
+        raise AssertionError("odd-set tables allocated")
+
+    monkeypatch.setattr(metrics, "_odd_masks", no_tables)
+    assert main(args + [str(metrics.ODDSET_CAP_LIMIT + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exceeds the limit" in captured.err
 
 
 def test_oracle_command(tmp_path, k3_file, capsys):

@@ -7,6 +7,7 @@ import random
 
 import numpy as np
 
+from chanrec import experiments
 from chanrec.experiments import (
     CSV_HEADER,
     InstanceSpec,
@@ -107,6 +108,35 @@ def test_invalid_specs_rejected():
         InstanceSpec(n_nodes=2, n_channels=1, demand_range=(0.0, 1.0))
     with pytest.raises(ValueError):
         InstanceSpec(n_nodes=2, n_channels=1, capacity_range=(5.0, 2.0))
+    for bad in ((1.0, math.inf), (math.inf, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="< inf"):
+            InstanceSpec(n_nodes=2, n_channels=1, demand_range=bad)
+
+
+def test_worker_count_clamped_to_cpus_and_tasks(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+    assert experiments._run_tasks(list(range(10)), abs, 64) == list(range(10))
+    assert experiments._run_tasks([0, 1, 2], abs, 64) == [0, 1, 2]
+    assert experiments._run_tasks([7], abs, 64) == [7]  # one task: no pool
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    assert experiments._run_tasks([0, 1, 2], abs, 8) == [0, 1, 2]  # no pool
+    assert started == [4, 3]
 
 
 def test_csv_header_and_row_format(tmp_path):

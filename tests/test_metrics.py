@@ -16,8 +16,10 @@ from brute import (
     is_bipartite,
     node_channel_load,
 )
+from chanrec import metrics
 from chanrec.metrics import (
     IFA_CAPACITY_RATIO_BOUND,
+    ODDSET_CAP_LIMIT,
     ODDSET_EXACT_CAP,
     TOL,
     capacity_floor,
@@ -87,6 +89,22 @@ def test_odd_set_cap_refusal():
         big, ChannelAssignment((0,)), 1, oddset_exact_cap=ODDSET_EXACT_CAP + 1
     )
     assert m2 == 1.0
+
+
+def test_odd_set_cap_limit_checked_before_allocation(monkeypatch):
+    def no_tables(n_nodes):
+        raise AssertionError("odd-set tables allocated")
+
+    monkeypatch.setattr(metrics, "_odd_masks", no_tables)
+    over = ODDSET_CAP_LIMIT + 1
+    for call in (
+        lambda: max_odd_set_load_exact(K3, Y_K3_ONE, 1, oddset_exact_cap=over),
+        lambda: recovery_capacity(K3, Y_K3_ONE, 1, oddset_exact_cap=over),
+        lambda: feasibility_ratio(K3, Y_K3_ONE, oddset_exact_cap=over),
+        lambda: feasibility_ratio(K3, Y_K3_ONE, "bracket", oddset_exact_cap=over),
+    ):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            call()
 
 
 def test_recovery_capacity_examples():

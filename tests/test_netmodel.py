@@ -1,6 +1,7 @@
 """Model construction, validation, and the two JSON document formats."""
 
 import json
+import math
 
 import pytest
 
@@ -8,7 +9,6 @@ from chanrec.netmodel import (
     ChannelAssignment,
     FormatError,
     Network,
-    OddSet,
     check_assignment,
     make_network,
     parse_assignment,
@@ -65,19 +65,20 @@ def test_network_rejects_bad_input():
         Network(("a", "a"), ("w",), (), (), ((),))
 
 
+def test_network_rejects_non_finite_numbers():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(FormatError, match="non-finite demand"):
+            make_network(2, [(0, 1)], [bad], 1)
+        with pytest.raises(FormatError, match="non-finite capacity"):
+            make_network(2, [(0, 1)], [1.0], 1, capacity=bad)
+    with pytest.raises(FormatError, match="total demand overflows"):
+        make_network(3, [(0, 1), (1, 2)], [1e308, 1e308], 1)
+
+
 def test_homogeneous_flag():
     assert make_network(2, [(0, 1)], [1.0], 3, capacity=5.0).homogeneous
     het = make_network(2, [(0, 1)], [1.0], 2, capacity=[[5.0], [6.0]])
     assert not het.homogeneous
-
-
-def test_odd_set_validation():
-    s = OddSet((4, 0, 2))
-    assert s.nodes == (0, 2, 4)
-    assert len(s) == 3
-    for bad in [(0, 1), (0,), (1, 1, 2), (0, 1, 2, 3)]:
-        with pytest.raises(ValueError):
-            OddSet(bad)
 
 
 def test_assignment_checks():
