@@ -1,6 +1,7 @@
 """Capacity and feasibility metrics against hand traces, explicit
 enumeration, and the stated bounds."""
 
+import json
 import math
 
 import numpy as np
@@ -34,6 +35,7 @@ from chanrec.metrics import (
     recovery_capacity,
 )
 from chanrec.netmodel import ChannelAssignment, make_network
+from record_metrics_golden import GOLDEN_PATH, case_assignment, evaluate
 
 # -- fixed micro-instances ------------------------------------------------
 
@@ -105,6 +107,16 @@ def test_odd_set_cap_limit_checked_before_allocation(monkeypatch):
     ):
         with pytest.raises(ValueError, match="exceeds the limit"):
             call()
+
+
+def test_exact_reports_match_golden_file():
+    # float bits and witnesses of exact reports recorded by
+    # tests/record_metrics_golden.py; a diff means the enumeration changed
+    cases = json.loads(GOLDEN_PATH.read_text())
+    assert len(cases) == 45
+    for case in cases:
+        got = evaluate(*case_assignment(case))
+        assert got == case["metrics"], (case["seed"], case["scheme"])
 
 
 def test_recovery_capacity_examples():
