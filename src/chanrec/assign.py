@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .netmodel import ChannelAssignment, Network
+from .netmodel import ChannelAssignment, Network, is_proper_labeling
 
 
 @dataclass(frozen=True)
@@ -35,14 +35,7 @@ class EdgeColoring:
 def is_proper_edge_coloring(net: Network, coloring: EdgeColoring) -> bool:
     if len(coloring.color_of) != net.n_edges:
         return False
-    for v in range(net.n_nodes):
-        seen = set()
-        for e in net.incident_edges(v):
-            c = coloring.color_of[e]
-            if c in seen:
-                return False
-            seen.add(c)
-    return True
+    return is_proper_labeling(net, coloring.color_of)
 
 
 def serialize_edge_coloring(coloring: EdgeColoring) -> str:

@@ -21,7 +21,10 @@ is feasible as given.
 
 Exact odd-set evaluation enumerates all odd subsets and is capped at
 ``ODDSET_EXACT_CAP`` nodes by default; above that, bracket variants return
-certified lower/upper bounds instead.  The cap itself may not exceed
+certified lower/upper bounds instead.  Per channel, the induced loads of all
+2^n node subsets are accumulated on a dense subset lattice (each edge adds its
+weight to the quarter of the lattice that contains both endpoints), and the
+odd subsets are then read off it.  The cap itself may not exceed
 ``ODDSET_CAP_LIMIT``: the enumeration allocates arrays of 2^n entries.
 """
 
@@ -34,11 +37,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .netmodel import ChannelAssignment, Network, check_assignment
+from .netmodel import (
+    ChannelAssignment,
+    Network,
+    check_assignment,
+    is_proper_labeling,
+)
 
 TOL = 1e-9
 ODDSET_EXACT_CAP = 18
-# 2^22 subset masks take 32 MiB per int64 array; each further node doubles it
+# at n = 22 the subset lattice is 32 MiB of float64, beside the cached odd-mask
+# table (2^21 int64 masks plus their sizes) and 16 MiB of loads per channel;
+# each further node doubles all three
 ODDSET_CAP_LIMIT = 22
 
 IFA_CAPACITY_RATIO_BOUND = 1.25
@@ -144,20 +154,50 @@ def _oddset_loads(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-channel induced load of every odd subset.
 
-    Accumulates edge by edge in index order; no BLAS involved, so results are
-    bitwise reproducible.  Returns (masks, sizes, loads[n_masks, n_channels]).
+    Accumulates on the dense subset lattice: one 2^n buffer, viewed as an
+    n-dimensional 2x...x2 array in which node u is axis n-1-u.  Per channel,
+    each edge (u, v) on it adds its weight, in edge-index order, to the
+    quarter of the lattice with both u and v inside; the odd masks are then
+    gathered from it.  No BLAS involved, so results are bitwise reproducible.
+    Returns (masks, sizes, loads[n_masks, n_channels]).
     """
-    masks, sizes = _odd_masks(net.n_nodes)
+    n = net.n_nodes
+    masks, sizes = _odd_masks(n)
     loads = np.zeros((len(masks), net.n_channels))
-    for e, (u, v) in enumerate(net.edges):
-        inside = ((masks >> u) & (masks >> v) & 1).astype(np.float64)
-        loads[:, y.channel_of[e]] += weights[e] * inside
+    on_channel: list[list[int]] = [[] for _ in range(net.n_channels)]
+    for e, c in enumerate(y.channel_of):
+        on_channel[c].append(e)
+    lattice = np.empty(1 << n)
+    cube = lattice.reshape((2,) * n)
+    for c, edges in enumerate(on_channel):
+        if not edges:
+            continue
+        lattice.fill(0.0)
+        for e in edges:
+            u, v = net.edges[e]
+            inside: list[slice | int] = [slice(None)] * n
+            inside[n - 1 - u] = inside[n - 1 - v] = 1
+            cube[tuple(inside)] += weights[e]
+        loads[:, c] = lattice[masks]
     return masks, sizes, loads
 
 
-def _topk_prefix(loads: np.ndarray) -> np.ndarray:
-    """Row-wise cumulative sums of channel loads sorted descending."""
-    return np.cumsum(np.sort(loads, axis=1)[:, ::-1], axis=1)
+def _topk_sum(loads: np.ndarray, k: int) -> np.ndarray:
+    """Row-wise sum of the k largest channel loads, added in descending order.
+
+    k bubble passes of column-wise max/min move each row's k largest values,
+    in descending order, into the first k columns; adding those left to right
+    equals column k-1 of the descending cumulative sum bit for bit.
+    """
+    cols = [loads[:, j] for j in range(loads.shape[1])]
+    for i in range(k):
+        for j in range(len(cols) - 1, i, -1):
+            left, right = cols[j - 1], cols[j]
+            cols[j - 1], cols[j] = np.maximum(left, right), np.minimum(left, right)
+    total = cols[0].copy()
+    for col in cols[1:k]:
+        total += col
+    return total
 
 
 def _best_channel_set(loads_row: np.ndarray, k_eff: int) -> tuple[int, ...]:
@@ -184,7 +224,7 @@ def max_node_load(
         return 0.0, None
     k_eff = min(k, net.n_channels)
     loads = _node_channel_loads(net, y)
-    per_node = _topk_prefix(loads)[:, k_eff - 1]
+    per_node = _topk_sum(loads, k_eff)
     best = float(per_node.max())
     node = int(np.flatnonzero(per_node == per_node.max())[0])
     return best, NodeLoadWitness(node, _best_channel_set(loads[node], k_eff))
@@ -218,7 +258,7 @@ def max_odd_set_load_exact(
     k_eff = min(k, net.n_channels)
     weights = np.asarray(net.demands)
     masks, sizes, loads = _oddset_loads(net, y, weights)
-    values = _topk_prefix(loads)[:, k_eff - 1] * (2.0 / (sizes - 1))
+    values = _topk_sum(loads, k_eff) * (2.0 / (sizes - 1))
     best = float(values.max())
     ties = np.flatnonzero(values == values.max())
     node_sets = sorted(_mask_nodes(masks[i]) for i in ties)
@@ -395,14 +435,7 @@ def recovery_capacity(
 def is_interference_free(net: Network, y: ChannelAssignment) -> bool:
     """True iff no two links sharing a node share a channel."""
     check_assignment(net, y)
-    for v in range(net.n_nodes):
-        seen = set()
-        for e in net.incident_edges(v):
-            w = y.channel_of[e]
-            if w in seen:
-                return False
-            seen.add(w)
-    return True
+    return is_proper_labeling(net, y.channel_of)
 
 
 def _weighted_demands(net: Network, y: ChannelAssignment) -> np.ndarray:
@@ -522,9 +555,9 @@ def _oddset_margin_exact(
     if net.n_edges == 0 or net.n_nodes < 3:
         return math.inf, None
     masks, sizes, loads = _oddset_loads(net, y, _weighted_demands(net, y))
-    limits = (sizes - 1) / 2.0
+    limits = (sizes - 1) / 2.0  # >= 1, so an unloaded channel gives inf
     with np.errstate(divide="ignore"):
-        margins = np.where(loads > 0.0, limits[:, None] / loads, np.inf)
+        margins = limits[:, None] / loads
     z2 = float(margins.min())
     if math.isinf(z2):
         return math.inf, None

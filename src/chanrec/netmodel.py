@@ -158,6 +158,17 @@ def check_assignment(net: Network, y: ChannelAssignment) -> None:
             raise ValueError(f"edge {e}: channel index {w} out of range")
 
 
+def is_proper_labeling(net: Network, labels: Sequence[int]) -> bool:
+    """True iff no two edges that share a node carry the same label."""
+    ends: set[tuple[int, int]] = set()
+    for (u, v), c in zip(net.edges, labels):
+        if (u, c) in ends or (v, c) in ends:
+            return False
+        ends.add((u, c))
+        ends.add((v, c))
+    return True
+
+
 # -- JSON documents -------------------------------------------------------
 #
 # Network document:

@@ -5,6 +5,7 @@ import pytest
 
 from brute import brute_m1, sequential_proper_assignment
 from chanrec.assign import (
+    EdgeColoring,
     edge_color,
     greedy_assign,
     ifa_assign,
@@ -14,7 +15,7 @@ from chanrec.assign import (
 )
 from chanrec.experiments import InstanceSpec, generate_instance
 from chanrec.metrics import channel_load_at_node, is_interference_free, max_node_load
-from chanrec.netmodel import make_network
+from chanrec.netmodel import ChannelAssignment, make_network
 
 
 def test_greedy_star_trace():
@@ -78,6 +79,34 @@ def test_edge_color_small_cases():
     c4 = make_network(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [1.0] * 4, 1)
     c = edge_color(c4)
     assert is_proper_edge_coloring(c4, c) and c.n_colors <= 3
+
+
+def _repeats_at_a_node(net, labels):
+    # the per-node scan both checks used before they shared one helper
+    for v in range(net.n_nodes):
+        at_v = [labels[e] for e in net.incident_edges(v)]
+        if len(set(at_v)) < len(at_v):
+            return True
+    return False
+
+
+def test_coloring_and_interference_checks_agree_with_per_node_scan():
+    path = make_network(3, [(0, 1), (1, 2)], [1.0, 1.0], 2)
+    assert not is_proper_edge_coloring(path, EdgeColoring((0, 0)))
+    assert not is_proper_edge_coloring(path, EdgeColoring((0,)))  # length
+    assert is_proper_edge_coloring(path, EdgeColoring((1, 0)))
+    rng = np.random.default_rng(12)
+    for trial in range(300):
+        n = int(rng.integers(2, 9))
+        edges = [
+            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5
+        ]
+        w = int(rng.integers(1, 5))
+        net = make_network(n, edges, [1.0] * len(edges), w)
+        labels = tuple(int(c) for c in rng.integers(0, w, size=len(edges)))
+        expect = not _repeats_at_a_node(net, labels)
+        assert is_proper_edge_coloring(net, EdgeColoring(labels)) == expect, trial
+        assert is_interference_free(net, ChannelAssignment(labels)) == expect, trial
 
 
 def test_edge_color_random_graphs_within_vizing_bound():

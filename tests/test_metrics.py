@@ -34,6 +34,8 @@ from chanrec.metrics import (
     max_odd_set_load_exact,
     recovery_capacity,
 )
+from chanrec.assign import random_assign
+from chanrec.experiments import InstanceSpec, generate_instance
 from chanrec.netmodel import ChannelAssignment, make_network
 from record_metrics_golden import GOLDEN_PATH, case_assignment, evaluate
 
@@ -287,6 +289,67 @@ def test_witness_node_is_smallest_argmax():
 
 
 # -- property-based checks ------------------------------------------------
+
+
+def _direct_oddset_loads(net, y, weights):
+    # per subset and channel, the induced edges' weights in edge-index order
+    n = net.n_nodes
+    masks = [m for m in range(1 << n) if m.bit_count() % 2 and m.bit_count() >= 3]
+    loads = np.zeros((len(masks), net.n_channels))
+    for i, m in enumerate(masks):
+        for e in net.induced_edges(v for v in range(n) if m >> v & 1):
+            loads[i, y.channel_of[e]] += weights[e]
+    return masks, loads
+
+
+def test_oddset_loads_match_direct_per_subset_sums_bitwise():
+    # uniform random demands and capacities are not dyadic, so a change in
+    # summation order would change the last bits
+    rng = np.random.default_rng(407)
+    for n in range(3, 13):
+        for w in range(1, 5):
+            seed = int(rng.integers(0, 2**63))
+            net = generate_instance(InstanceSpec(n_nodes=n, n_channels=w), seed)
+            if net.n_edges == 0:
+                continue
+            # the second assignment leaves channel 1 (and 3) without edges
+            sparse = rng.choice(range(0, w, 2), size=net.n_edges)
+            for y in (
+                random_assign(net, seed),
+                ChannelAssignment(tuple(int(c) for c in sparse)),
+            ):
+                for weights in (
+                    np.asarray(net.demands),
+                    metrics._weighted_demands(net, y),
+                ):
+                    masks, sizes, loads = metrics._oddset_loads(net, y, weights)
+                    want_masks, want = _direct_oddset_loads(net, y, weights)
+                    assert masks.tolist() == want_masks, (n, w)
+                    assert sizes.tolist() == [m.bit_count() for m in want_masks]
+                    assert np.array_equal(
+                        loads.view(np.int64), want.view(np.int64)
+                    ), (n, w, y)
+
+
+_LOAD = st.one_of(
+    st.sampled_from([0.0, 0.1, 1.0, 3.7]),
+    st.floats(min_value=0.0, max_value=1e6).map(abs),
+)
+
+
+@given(st.data())
+def test_topk_sum_matches_descending_cumsum_bitwise(data):
+    w = data.draw(st.integers(min_value=1, max_value=6))
+    rows = data.draw(
+        st.lists(st.lists(_LOAD, min_size=w, max_size=w), min_size=1, max_size=12)
+    )
+    x = np.array(rows)
+    before = x.copy()
+    want = np.cumsum(np.sort(x, axis=1)[:, ::-1], axis=1)
+    for k in range(1, w + 1):
+        got = metrics._topk_sum(x, k)
+        assert np.array_equal(got.view(np.int64), want[:, k - 1].view(np.int64)), k
+    assert np.array_equal(x, before)
 
 
 @st.composite
