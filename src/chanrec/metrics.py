@@ -37,12 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .netmodel import (
-    ChannelAssignment,
-    Network,
-    check_assignment,
-    is_proper_labeling,
-)
+from .netmodel import ChannelAssignment, Network, check_assignment, is_proper_labeling
 
 TOL = 1e-9
 ODDSET_EXACT_CAP = 18

@@ -82,7 +82,7 @@ def test_edge_color_small_cases():
 
 
 def _repeats_at_a_node(net, labels):
-    # the per-node scan both checks used before they shared one helper
+    # reference: look at each node's incident labels separately
     for v in range(net.n_nodes):
         at_v = [labels[e] for e in net.incident_edges(v)]
         if len(set(at_v)) < len(at_v):

@@ -18,6 +18,8 @@ from brute import (
     node_channel_load,
 )
 from chanrec import metrics
+from chanrec.assign import random_assign
+from chanrec.experiments import InstanceSpec, generate_instance
 from chanrec.metrics import (
     IFA_CAPACITY_RATIO_BOUND,
     ODDSET_CAP_LIMIT,
@@ -34,8 +36,6 @@ from chanrec.metrics import (
     max_odd_set_load_exact,
     recovery_capacity,
 )
-from chanrec.assign import random_assign
-from chanrec.experiments import InstanceSpec, generate_instance
 from chanrec.netmodel import ChannelAssignment, make_network
 from record_metrics_golden import GOLDEN_PATH, case_assignment, evaluate
 
@@ -288,9 +288,6 @@ def test_witness_node_is_smallest_argmax():
         assert wit.node == firsts[0]
 
 
-# -- property-based checks ------------------------------------------------
-
-
 def _direct_oddset_loads(net, y, weights):
     # per subset and channel, the induced edges' weights in edge-index order
     n = net.n_nodes
@@ -331,6 +328,11 @@ def test_oddset_loads_match_direct_per_subset_sums_bitwise():
                     ), (n, w, y)
 
 
+# -- property-based checks ------------------------------------------------
+
+
+# loads are sums of positive weights, so never -0.0 (hence abs); the sampled
+# values give ties and zeros
 _LOAD = st.one_of(
     st.sampled_from([0.0, 0.1, 1.0, 3.7]),
     st.floats(min_value=0.0, max_value=1e6).map(abs),
