@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import math
 import random
 
@@ -20,6 +21,7 @@ from chanrec.experiments import (
     write_records_csv,
 )
 from chanrec.metrics import TOL, feasibility_ratio, recovery_capacity
+from record_study_golden import CASES, GOLDEN_PATH, digests, run_case
 
 
 def _mix_reference(master, index):
@@ -297,3 +299,12 @@ def test_gap_study_parallel_determinism():
     a, sa = run_gap_study(jobs=1, **kwargs)
     b, sb = run_gap_study(jobs=3, **kwargs)
     assert a == b and sa == sb
+
+
+def test_studies_match_golden_file():
+    # CSV, rendered summary and in-memory rows recorded by
+    # tests/record_study_golden.py; a diff means a study's output changed
+    golden = {doc.pop("name"): doc for doc in json.loads(GOLDEN_PATH.read_text())}
+    assert sorted(golden) == sorted(name for name, _, _ in CASES)
+    for name, kind, kwargs in CASES:
+        assert digests(*run_case(kind, kwargs)) == golden[name], name
