@@ -155,38 +155,24 @@ def _cmd_study(args: argparse.Namespace) -> int:
         overrides["capacity_range"] = tuple(args.capacity_range)
     if args.demand_range is not None:
         overrides["demand_range"] = tuple(args.demand_range)
-
+    if args.uniform_demand is not None:
+        overrides["demand_range"] = (args.uniform_demand, args.uniform_demand)
+    common = dict(
+        sizes=args.sizes,
+        channel_counts=args.channels,
+        trials=args.trials,
+        seed=args.seed,
+        jobs=args.jobs,
+        spec_overrides=overrides or None,
+    )
     if args.kind == "scaling":
-        records, summary = run_scaling_study(
-            sizes=args.sizes,
-            channel_counts=args.channels,
-            k=args.k,
-            trials=args.trials,
-            seed=args.seed,
-            demand=args.uniform_demand,
-            jobs=args.jobs,
-        )
+        records, summary = run_scaling_study(k=args.k, **common)
     elif args.kind == "gap":
         records, summary = run_gap_study(
-            sizes=args.sizes,
-            channel_counts=args.channels,
-            k_values=args.k_values,
-            trials=args.trials,
-            seed=args.seed,
-            budget=args.budget,
-            jobs=args.jobs,
-            spec_overrides=overrides or None,
+            k_values=args.k_values, budget=args.budget, **common
         )
     else:
-        records, summary = run_traffic_study(
-            sizes=args.sizes,
-            channel_counts=args.channels,
-            trials=args.trials,
-            seed=args.seed,
-            budget=args.budget,
-            jobs=args.jobs,
-            spec_overrides=overrides or None,
-        )
+        records, summary = run_traffic_study(budget=args.budget, **common)
     if args.out:
         write_records_csv(records, args.out)
     if args.summary:
@@ -253,11 +239,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
     p_study.add_argument("--budget", type=_positive_int, default=300_000)
     p_study.add_argument("--jobs", type=_positive_int, default=1)
-    p_study.add_argument("--uniform-demand", type=float, default=None)
     p_study.add_argument("--degree-cap", type=int, default=None)
     p_study.add_argument("--edge-prob", type=float, default=None)
     p_study.add_argument("--capacity-range", type=float, nargs=2, default=None)
-    p_study.add_argument("--demand-range", type=float, nargs=2, default=None)
+    demand = p_study.add_mutually_exclusive_group()
+    demand.add_argument("--demand-range", type=float, nargs=2, default=None)
+    demand.add_argument(
+        "--uniform-demand", type=float, default=None,
+        help="every link demands this much (--demand-range R R)",
+    )
     p_study.add_argument("--out", default=None, help="CSV output path")
     p_study.add_argument("--summary", default=None, help="JSON summary path")
     p_study.set_defaults(fn=_cmd_study)

@@ -11,9 +11,18 @@ instance index with a splitmix-style mix (golden-ratio increment plus the
 standard 64-bit finalizer), so studies are reproducible and insensitive to
 how work is split across processes.
 
-``runtime_ms`` is measured on the in-memory records but written as 0 in CSV
-exports: study outputs are byte-reproducible across runs and job counts, and
-wall-clock time is not.
+The three studies run through one runner, ``_run_study``: it checks the
+axes, builds one task per instance (``replace(InstanceSpec(size, w),
+**spec_overrides)``, instance id, derived seed) and runs the tasks in order
+or on a process pool.  ``_scaling_task`` makes one ``ifa`` row per instance;
+``_oracle_task`` makes, per k, the optimum of whiterec (gap study) or feasi
+(traffic study) and one row per scheme.  ``make_record`` builds every row.
+
+``runtime_ms`` times, per row: the exact solve alone (``optimal`` rows), the
+metric evaluation (scheme rows), or generation, ``ifa_assign`` and the
+metrics together (scaling rows).  It is kept on the in-memory records but
+written as 0 in CSV exports: study outputs are byte-reproducible across runs
+and job counts, and wall-clock time is not.
 """
 
 from __future__ import annotations
@@ -28,14 +37,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .assign import greedy_assign, ifa_assign, random_assign
-from .metrics import (
-    FeasibilityReport,
-    RecoveryReport,
-    feasibility_ratio,
-    recovery_capacity,
-)
+from .metrics import feasibility_ratio, recovery_capacity
 from .netmodel import ChannelAssignment, Network
-from .oracles import OracleResult, solve_feasi_exact, solve_whiterec_exact
+from .oracles import solve_feasi_exact, solve_whiterec_exact
 
 _MASK64 = (1 << 64) - 1
 
@@ -189,16 +193,36 @@ def make_record(
     net: Network,
     k: int,
     algorithm: str,
-    y: ChannelAssignment,
-    rec: RecoveryReport,
-    feas: FeasibilityReport,
-    runtime_ms: float,
+    y: ChannelAssignment | None,
+    mode: str,
     proven_optimal: bool | None = None,
+    started: float | None = None,
+    stopped: float | None = None,
 ) -> ExperimentRecord:
+    """One study row: ``y`` evaluated at ``k`` in ``mode``.
+
+    ``y is None`` (an exact solve found no feasible assignment) gives the
+    row of an infeasible optimum: every load and the ratio ``inf``, ``beta``
+    ``-inf``, ``feasible`` "no".
+    ``runtime_ms`` runs from ``started`` (a ``time.perf_counter()`` reading;
+    default: the start of this call) to ``stopped`` (default: the end of the
+    evaluation).
+    """
+    t0 = time.perf_counter() if started is None else started
     l_tot = net.total_demand
-    cap_hi = rec.capacity_hi
-    m2_lo = rec.m2 if rec.mode == "exact" else rec.m2_lo
-    m2_hi = rec.m2 if rec.mode == "exact" else rec.m2_hi
+    if y is None:
+        m1 = m2_lo = m2_hi = cap_lo = cap_hi = ratio = math.inf
+        beta, feasible = -math.inf, "no"
+    else:
+        rec = recovery_capacity(net, y, k, mode=mode)
+        feas = feasibility_ratio(net, y, mode=mode)
+        m1 = rec.m1
+        m2_lo = rec.m2 if rec.mode == "exact" else rec.m2_lo
+        m2_hi = rec.m2 if rec.mode == "exact" else rec.m2_hi
+        cap_lo, cap_hi = float(rec.capacity_lo), float(rec.capacity_hi)
+        beta, feasible = float(feas.beta_lo), feas.feasible
+        ratio = float(rec.capacity_hi / l_tot) if l_tot > 0 else 0.0
+    t1 = time.perf_counter() if stopped is None else stopped
     return ExperimentRecord(
         instance_id=instance_id,
         seed=seed,
@@ -207,17 +231,17 @@ def make_record(
         n_channels=net.n_channels,
         k=k,
         algorithm=algorithm,
-        m1=rec.m1,
+        m1=m1,
         m2_lo=m2_lo,
         m2_hi=m2_hi,
-        capacity_lo=float(rec.capacity_lo),
-        capacity_hi=float(cap_hi),
-        beta=float(feas.beta_lo),
+        capacity_lo=cap_lo,
+        capacity_hi=cap_hi,
+        beta=beta,
         l_tot=float(l_tot),
-        ratio=float(cap_hi / l_tot) if l_tot > 0 else 0.0,
-        runtime_ms=runtime_ms,
+        ratio=ratio,
+        runtime_ms=(t1 - t0) * 1000.0,
         assignment=y,
-        feasible=feas.feasible,
+        feasible=feasible,
         proven_optimal=proven_optimal,
     )
 
@@ -232,18 +256,79 @@ def _run_tasks(tasks: list, fn, jobs: int) -> list:
         return list(pool.map(fn, tasks, chunksize=chunk))
 
 
-# -- scaling study --------------------------------------------------------
+# -- one runner for the three studies ------------------------------------
 
 
-def _scaling_task(args: tuple) -> ExperimentRecord:
-    spec, k, instance_id, seed = args
-    t0 = time.perf_counter()
+def _run_study(
+    task,
+    extra: tuple,
+    sizes: Sequence[int],
+    channel_counts: Sequence[int],
+    trials: int,
+    seed: int,
+    jobs: int,
+    spec_overrides: dict | None,
+    k_values: Sequence[int] = (),
+) -> list[ExperimentRecord]:
+    """The records of ``task((spec, instance_id, instance_seed) + extra)``
+    over ``trials`` instances per (channel count, size) cell, cells in that
+    order.  The axes are checked before any instance is drawn or any worker
+    starts."""
+    for name, axis in (
+        ("sizes", sizes), ("channel counts", channel_counts), ("k values", k_values)
+    ):
+        if any(v < 1 for v in axis) or len(set(axis)) < len(axis):
+            raise ValueError(f"{name} must be positive and distinct, got {list(axis)}")
+    cells = [
+        replace(InstanceSpec(size, w), **(spec_overrides or {}))
+        for w in channel_counts
+        for size in sizes
+    ]
+    specs = [spec for spec in cells for _ in range(trials)]
+    tasks = [
+        (spec, i, derive_seed(seed, i)) + extra for i, spec in enumerate(specs)
+    ]
+    return [r for batch in _run_tasks(tasks, task, jobs) for r in batch]
+
+
+def _scaling_task(args: tuple) -> list[ExperimentRecord]:
+    spec, instance_id, seed, k = args
+    started = time.perf_counter()
     net = generate_instance(spec, seed)
     y = ifa_assign(net)
-    rec = recovery_capacity(net, y, k, mode="auto")
-    feas = feasibility_ratio(net, y, mode="auto")
-    dt = (time.perf_counter() - t0) * 1000.0
-    return make_record(instance_id, seed, net, k, "ifa", y, rec, feas, dt)
+    return [make_record(instance_id, seed, net, k, "ifa", y, "auto", started=started)]
+
+
+def _oracle_task(args: tuple) -> list[ExperimentRecord]:
+    """Per k: the optimum of ``problem`` ("whiterec" or "feasi"), then the
+    greedy, ifa (when defined) and random schemes, all evaluated exactly."""
+    spec, instance_id, seed, problem, k_values, budget = args
+    net = generate_instance(spec, seed)
+    schemes = [("greedy", greedy_assign(net)), ("random", random_assign(net, seed))]
+    if net.n_channels > net.max_degree:
+        schemes.insert(1, ("ifa", ifa_assign(net)))
+    out: list[ExperimentRecord] = []
+    for k in k_values:
+        started = time.perf_counter()
+        if problem == "whiterec":
+            opt = solve_whiterec_exact(net, k, limit=budget)
+        else:
+            opt = solve_feasi_exact(net, limit=budget)
+        out.append(
+            make_record(
+                instance_id, seed, net, k, "optimal", opt.best_assignment,
+                "exact", opt.proven_optimal,
+                started=started, stopped=time.perf_counter(),
+            )
+        )
+        out += [
+            make_record(instance_id, seed, net, k, name, y, "exact")
+            for name, y in schemes
+        ]
+    return out
+
+
+# -- the three studies ----------------------------------------------------
 
 
 def run_scaling_study(
@@ -252,27 +337,18 @@ def run_scaling_study(
     k: int,
     trials: int,
     seed: int = DEFAULT_MASTER_SEED,
-    demand: float | None = None,
     jobs: int = 1,
+    spec_overrides: dict | None = None,
 ) -> tuple[list[ExperimentRecord], dict]:
     """Capacity-to-total-demand ratio of the coloring scheme as size grows.
 
     Fits log(mean ratio) against log(size) per channel count and reports the
     decay exponent (the negated slope).
     """
-    base = InstanceSpec(n_nodes=2, n_channels=1)
-    tasks = []
-    instance_id = 0
-    for w in channel_counts:
-        for size in sizes:
-            spec = replace(base, n_nodes=size, n_channels=w)
-            if demand is not None:
-                spec = replace(spec, demand_range=(demand, demand))
-            for _ in range(trials):
-                tasks.append((spec, k, instance_id, derive_seed(seed, instance_id)))
-                instance_id += 1
-    records = _run_tasks(tasks, _scaling_task, jobs)
-
+    records = _run_study(
+        _scaling_task, (k,), sizes, channel_counts, trials, seed, jobs,
+        spec_overrides, k_values=(k,),
+    )
     cells = []
     exponents = {}
     for w in channel_counts:
@@ -312,52 +388,6 @@ def run_scaling_study(
     return records, summary
 
 
-# -- gap study ------------------------------------------------------------
-
-
-def _gap_task(args: tuple) -> list[ExperimentRecord]:
-    spec, k_values, instance_id, seed, budget = args
-    net = generate_instance(spec, seed)
-    out: list[ExperimentRecord] = []
-    schemes = [("greedy", greedy_assign(net)), ("random", random_assign(net, seed))]
-    if net.n_channels > net.max_degree:
-        schemes.insert(1, ("ifa", ifa_assign(net)))
-    for k in k_values:
-        t0 = time.perf_counter()
-        opt = solve_whiterec_exact(net, k, limit=budget)
-        dt = (time.perf_counter() - t0) * 1000.0
-        if opt.best_assignment is not None:
-            rec = recovery_capacity(net, opt.best_assignment, k, mode="exact")
-            feas = feasibility_ratio(net, opt.best_assignment, mode="exact")
-            out.append(
-                make_record(
-                    instance_id, seed, net, k, "optimal",
-                    opt.best_assignment, rec, feas, dt,
-                    proven_optimal=opt.proven_optimal,
-                )
-            )
-        else:
-            out.append(
-                ExperimentRecord(
-                    instance_id, seed, net.n_nodes, net.n_edges,
-                    net.n_channels, k, "optimal",
-                    math.inf, math.inf, math.inf, math.inf, math.inf,
-                    -math.inf, net.total_demand, math.inf, dt,
-                    assignment=None, feasible="no",
-                    proven_optimal=opt.proven_optimal,
-                )
-            )
-        for name, y in schemes:
-            t0 = time.perf_counter()
-            rec = recovery_capacity(net, y, k, mode="exact")
-            feas = feasibility_ratio(net, y, mode="exact")
-            dt = (time.perf_counter() - t0) * 1000.0
-            out.append(
-                make_record(instance_id, seed, net, k, name, y, rec, feas, dt)
-            )
-    return out
-
-
 def run_gap_study(
     sizes: Sequence[int],
     channel_counts: Sequence[int],
@@ -373,21 +403,10 @@ def run_gap_study(
     Instances whose exact solve runs out of budget, or that are infeasible,
     are flagged in the summary and excluded from the mean gaps.
     """
-    tasks = []
-    instance_id = 0
-    for w in channel_counts:
-        for size in sizes:
-            spec = InstanceSpec(n_nodes=size, n_channels=w)
-            if spec_overrides:
-                spec = replace(spec, **spec_overrides)
-            for _ in range(trials):
-                tasks.append(
-                    (spec, tuple(k_values), instance_id,
-                     derive_seed(seed, instance_id), budget)
-                )
-                instance_id += 1
-    records = [r for batch in _run_tasks(tasks, _gap_task, jobs) for r in batch]
-
+    records = _run_study(
+        _oracle_task, ("whiterec", tuple(k_values), budget), sizes,
+        channel_counts, trials, seed, jobs, spec_overrides, k_values=k_values,
+    )
     cells = []
     for w in channel_counts:
         for size in sizes:
@@ -450,40 +469,6 @@ def run_gap_study(
     return records, summary
 
 
-# -- traffic study --------------------------------------------------------
-
-
-def _traffic_task(args: tuple) -> list[ExperimentRecord]:
-    spec, instance_id, seed, budget = args
-    net = generate_instance(spec, seed)
-    out: list[ExperimentRecord] = []
-    t0 = time.perf_counter()
-    opt = solve_feasi_exact(net, limit=budget)
-    dt = (time.perf_counter() - t0) * 1000.0
-    schemes = [("greedy", greedy_assign(net)), ("random", random_assign(net, seed))]
-    if net.n_channels > net.max_degree:
-        schemes.insert(1, ("ifa", ifa_assign(net)))
-    if opt.best_assignment is not None:
-        rec = recovery_capacity(net, opt.best_assignment, 1, mode="exact")
-        feas = feasibility_ratio(net, opt.best_assignment, mode="exact")
-        out.append(
-            make_record(
-                instance_id, seed, net, 1, "optimal",
-                opt.best_assignment, rec, feas, dt,
-                proven_optimal=opt.proven_optimal,
-            )
-        )
-    for name, y in schemes:
-        t0 = time.perf_counter()
-        rec = recovery_capacity(net, y, 1, mode="exact")
-        feas = feasibility_ratio(net, y, mode="exact")
-        dt = (time.perf_counter() - t0) * 1000.0
-        out.append(
-            make_record(instance_id, seed, net, 1, name, y, rec, feas, dt)
-        )
-    return out
-
-
 def run_traffic_study(
     sizes: Sequence[int],
     channel_counts: Sequence[int],
@@ -495,20 +480,10 @@ def run_traffic_study(
 ) -> tuple[list[ExperimentRecord], dict]:
     """Sustained traffic fraction min(beta, 1) of each scheme versus the
     best achievable margin."""
-    tasks = []
-    instance_id = 0
-    for w in channel_counts:
-        for size in sizes:
-            spec = InstanceSpec(n_nodes=size, n_channels=w)
-            if spec_overrides:
-                spec = replace(spec, **spec_overrides)
-            for _ in range(trials):
-                tasks.append(
-                    (spec, instance_id, derive_seed(seed, instance_id), budget)
-                )
-                instance_id += 1
-    records = [r for batch in _run_tasks(tasks, _traffic_task, jobs) for r in batch]
-
+    records = _run_study(
+        _oracle_task, ("feasi", (1,), budget), sizes, channel_counts, trials,
+        seed, jobs, spec_overrides,
+    )
     cells = []
     for w in channel_counts:
         for size in sizes:

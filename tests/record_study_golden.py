@@ -42,7 +42,7 @@ CASES = (
     )),
     ("scaling_uniform_demand", "scaling", dict(
         sizes=[8, 24], channel_counts=[3], k=2, trials=3, seed=103,
-        demand=10.0,
+        spec_overrides={"demand_range": (10.0, 10.0)},
     )),
     ("gap", "gap", dict(
         sizes=[6, 8], channel_counts=[2, 3], k_values=[1, 2], trials=3,

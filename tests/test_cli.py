@@ -1,5 +1,6 @@
 """Exit codes, report schemas, and byte-level determinism of the CLI."""
 
+import csv
 import json
 import math
 import shutil
@@ -9,7 +10,7 @@ import sys
 import pytest
 
 from conftest import cli_env
-from chanrec import metrics
+from chanrec import experiments, metrics
 from chanrec.cli import main
 from chanrec.netmodel import make_network, parse_assignment, parse_network, serialize_network
 
@@ -217,6 +218,66 @@ def test_study_gap_flags(tmp_path):
     summary = json.loads(summary_path.read_text())
     (cell,) = summary["cells"]
     assert cell["trials"] == 4
+
+
+def _csv_rows(path):
+    return list(csv.DictReader(path.read_text().splitlines()))
+
+
+def test_study_generator_flags_reach_every_kind(tmp_path):
+    from chanrec.experiments import InstanceSpec, generate_instance
+
+    out = tmp_path / "s.csv"
+    scaling = ["study", "--kind", "scaling", "--sizes", "10", "--channels", "2", "--trials", "3"]
+    assert main(scaling + ["--degree-cap", "1", "--out", str(out)]) == 0
+    spec = InstanceSpec(n_nodes=10, n_channels=2, degree_cap=1)
+    rows = _csv_rows(out)
+    assert len(rows) == 3
+    for row in rows:
+        net = generate_instance(spec, int(row["seed"]))
+        assert net.max_degree <= 1 and int(row["n_edges"]) == net.n_edges
+
+    out = tmp_path / "g.csv"
+    gap = ["study", "--kind", "gap", "--sizes", "6", "--channels", "3", "--trials", "2"]
+    assert main(gap + ["--uniform-demand", "5", "--degree-cap", "2", "--out", str(out)]) == 0
+    rows = _csv_rows(out)
+    assert rows and all(
+        float(row["l_tot"]) == 5.0 * int(row["n_edges"]) for row in rows
+    )
+
+
+def test_study_demand_flags_are_mutually_exclusive(capsys):
+    argv = [
+        "study", "--kind", "traffic", "--sizes", "6", "--channels", "2",
+        "--uniform-demand", "5", "--demand-range", "1", "2",
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, axis, message",
+    [
+        ("traffic", ["--sizes", "6,6"], "sizes"),
+        ("scaling", ["--sizes", "0"], "sizes"),
+        ("gap", ["--channels", "2,3,2"], "channel counts"),
+        ("scaling", ["--channels", "0"], "channel counts"),
+        ("gap", ["--k-values", "1,1"], "k values"),
+        ("gap", ["--k-values", "0", "--jobs", "2"], "k values"),
+    ],
+)
+def test_study_axes_refused_before_any_task(monkeypatch, capsys, kind, axis, message):
+    def no_tasks(*args):
+        raise AssertionError("tasks started")
+
+    monkeypatch.setattr(experiments, "_run_tasks", no_tasks)
+    argv = ["study", "--kind", kind, "--sizes", "6", "--channels", "2", "--trials", "2"]
+    assert main(argv + axis) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message} must be positive and distinct")
 
 
 def test_cli_byte_determinism(tmp_path, k3_file):

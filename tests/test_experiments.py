@@ -7,6 +7,7 @@ import math
 import random
 
 import numpy as np
+import pytest
 
 from chanrec import experiments
 from chanrec.experiments import (
@@ -100,8 +101,6 @@ def test_generator_degree_distribution_matches_reference():
 
 
 def test_invalid_specs_rejected():
-    import pytest
-
     with pytest.raises(ValueError):
         InstanceSpec(n_nodes=0, n_channels=1)
     with pytest.raises(ValueError):
@@ -206,7 +205,8 @@ def test_scaling_study_shape_and_parallel_determinism():
 
 def test_scaling_uniform_demand_respects_coloring_bound():
     records, _ = run_scaling_study(
-        sizes=[8, 12], channel_counts=[3], k=2, trials=5, seed=29, demand=10.0
+        sizes=[8, 12], channel_counts=[3], k=2, trials=5, seed=29,
+        spec_overrides={"demand_range": (10.0, 10.0)},
     )
     for rec in records:
         spec = InstanceSpec(
@@ -299,6 +299,44 @@ def test_gap_study_parallel_determinism():
     a, sa = run_gap_study(jobs=1, **kwargs)
     b, sb = run_gap_study(jobs=3, **kwargs)
     assert a == b and sa == sb
+
+
+@pytest.mark.parametrize(
+    "run, kwargs",
+    [
+        (run_gap_study, dict(k_values=[1, 2], budget=10)),
+        (run_traffic_study, dict(budget=10)),
+    ],
+)
+def test_oracle_studies_same_at_one_and_two_jobs(run, kwargs):
+    # solved and budget-exhausted instances; tasks carry the problem as a
+    # string, so they pickle for the pool
+    common = dict(sizes=[6, 8], channel_counts=[2, 3], trials=3, seed=11, **kwargs)
+    a, sa = run(jobs=1, **common)
+    b, sb = run(jobs=2, **common)
+    assert a == b and sa == sb
+
+
+@pytest.mark.parametrize(
+    "run, kwargs, axis",
+    [
+        (run_scaling_study, dict(sizes=[8, 8], channel_counts=[2], k=1), "sizes"),
+        (run_scaling_study, dict(sizes=[8], channel_counts=[2], k=0), "k values"),
+        (run_gap_study, dict(sizes=[6], channel_counts=[2, 2], k_values=[1]), "channel counts"),
+        (run_gap_study, dict(sizes=[6], channel_counts=[2], k_values=[1, 1]), "k values"),
+        (run_gap_study, dict(sizes=[6], channel_counts=[2], k_values=[0], jobs=2), "k values"),
+        (run_traffic_study, dict(sizes=[6, 6], channel_counts=[2], jobs=2), "sizes"),
+        (run_traffic_study, dict(sizes=[0], channel_counts=[2]), "sizes"),
+        (run_traffic_study, dict(sizes=[6], channel_counts=[-1]), "channel counts"),
+    ],
+)
+def test_study_axes_checked_before_any_task(monkeypatch, run, kwargs, axis):
+    def no_tasks(*args):
+        raise AssertionError("tasks started")
+
+    monkeypatch.setattr(experiments, "_run_tasks", no_tasks)
+    with pytest.raises(ValueError, match=f"^{axis} must be positive and distinct"):
+        run(trials=2, **kwargs)
 
 
 def test_studies_match_golden_file():
