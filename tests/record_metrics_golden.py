@@ -1,13 +1,15 @@
 """Record ``tests/metrics_golden.json``, the golden pin of the exact metrics.
 
 For every case (a seeded ``generate_instance`` network and one assignment
-scheme) the file keeps ``recovery_capacity(..., mode="exact").to_json_dict()``
-at k = 1, 2, 3 and ``feasibility_ratio(..., mode="exact").to_json_dict()``,
-with every float written as ``float.hex()``.  ``tests/test_metrics.py``
-recomputes every case and compares the documents, so any change to the
-odd-set enumeration's float arithmetic, its tie-breaks or its witnesses shows
-up.  Uniform random demands are not dyadic, so a change in summation order
-changes the last bits.
+scheme) the file keeps, in both the exact and the bracket mode,
+``recovery_capacity(...).to_json_dict()`` at k = 1, 2, 3 and
+``feasibility_ratio(...).to_json_dict()``.  The feasibility documents also
+hold the witnesses ``to_json_dict`` leaves out: ``witness_z1`` in both modes
+and ``witness_z2`` in exact mode.  Every float is written as ``float.hex()``.
+``tests/test_metrics.py`` recomputes every case and compares the documents,
+so any change to the metrics' float arithmetic, their tie-breaks or their
+witnesses shows up.  Uniform random demands are not dyadic, so a change in
+summation order changes the last bits.
 
 Cases: n in {5, 10, 14, 16, 18} nodes, |W| in {1, 3, 5} channels, one
 instance per combination, with the greedy, ifa and random schemes.
@@ -42,7 +44,7 @@ def hex_floats(doc):
         return doc.hex()
     if isinstance(doc, dict):
         return {key: hex_floats(value) for key, value in doc.items()}
-    if isinstance(doc, list):
+    if isinstance(doc, (list, tuple)):
         return [hex_floats(value) for value in doc]
     return doc
 
@@ -60,14 +62,31 @@ def case_assignment(case: dict):
     return net, y
 
 
+def _witness(witness):
+    return None if witness is None else witness._asdict()
+
+
 def evaluate(net, y) -> dict:
+    exact = feasibility_ratio(net, y, mode="exact")
+    bracket = feasibility_ratio(net, y, mode="bracket")
     return hex_floats(
         {
             "recovery": [
                 recovery_capacity(net, y, k, mode="exact").to_json_dict()
                 for k in KS
             ],
-            "feasibility": feasibility_ratio(net, y, mode="exact").to_json_dict(),
+            "feasibility": dict(
+                exact.to_json_dict(),
+                witness_z1=_witness(exact.witness_z1),
+                witness_z2=_witness(exact.witness_z2),
+            ),
+            "bracket_recovery": [
+                recovery_capacity(net, y, k, mode="bracket").to_json_dict()
+                for k in KS
+            ],
+            "bracket_feasibility": dict(
+                bracket.to_json_dict(), witness_z1=_witness(bracket.witness_z1)
+            ),
         }
     )
 

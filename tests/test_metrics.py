@@ -112,8 +112,8 @@ def test_odd_set_cap_limit_checked_before_allocation(monkeypatch):
 
 
 def test_exact_reports_match_golden_file():
-    # float bits and witnesses of exact reports recorded by
-    # tests/record_metrics_golden.py; a diff means the enumeration changed
+    # float bits and witnesses of exact and bracket reports recorded by
+    # tests/record_metrics_golden.py; a diff means the metrics changed
     cases = json.loads(GOLDEN_PATH.read_text())
     assert len(cases) == 45
     for case in cases:
