@@ -27,7 +27,7 @@ from .experiments import (
     run_traffic_study,
     write_records_csv,
 )
-from .metrics import ODDSET_EXACT_CAP, feasibility_ratio, recovery_capacity
+from .metrics import feasibility_ratio, recovery_capacity
 from .netmodel import (
     FormatError,
     parse_assignment,
@@ -121,9 +121,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     net = _load_network(args.net)
     with open(args.assignment) as fh:
         y = parse_assignment(fh.read(), net)
-    cap = args.oddset_cap
-    rec = recovery_capacity(net, y, args.k, mode=args.mode, oddset_exact_cap=cap)
-    feas = feasibility_ratio(net, y, mode=args.mode, oddset_exact_cap=cap)
+    rec = recovery_capacity(net, y, args.k, mode=args.mode)
+    feas = feasibility_ratio(net, y, mode=args.mode)
     report = rec.to_json_dict()
     report.update(feas.to_json_dict())
     _write_out(_render(report) + "\n", args.out)
@@ -145,7 +144,21 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# flags that apply to some study kinds only: the kinds and the default
+_STUDY_KIND_FLAGS = {
+    "k": (("scaling",), 2),
+    "k_values": (("gap",), [1]),
+    "budget": (("gap", "traffic"), 300_000),
+}
+
+
 def _cmd_study(args: argparse.Namespace) -> int:
+    for name, (kinds, default) in _STUDY_KIND_FLAGS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.kind not in kinds:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} does not apply to --kind {args.kind}")
     overrides = {}
     if args.degree_cap is not None:
         overrides["degree_cap"] = args.degree_cap
@@ -208,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--assignment", required=True)
     p_eval.add_argument("--k", type=_positive_int, default=1)
     p_eval.add_argument("--mode", choices=("auto", "exact", "bracket"), default="auto")
-    p_eval.add_argument("--oddset-cap", type=_positive_int, default=ODDSET_EXACT_CAP)
     p_eval.add_argument("--out", default=None)
     p_eval.set_defaults(fn=_cmd_eval)
 
@@ -231,13 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--kind", required=True, choices=("scaling", "gap", "traffic"))
     p_study.add_argument("--sizes", type=_int_list, required=True)
     p_study.add_argument("--channels", type=_int_list, required=True)
-    p_study.add_argument("--k", type=_positive_int, default=2, help="scaling only")
-    p_study.add_argument(
-        "--k-values", type=_int_list, default=[1], help="gap study only"
-    )
+    p_study.add_argument("--k", type=_positive_int, help="scaling only (default 2)")
+    p_study.add_argument("--k-values", type=_int_list, help="gap only (default 1)")
     p_study.add_argument("--trials", type=_positive_int, default=10)
     p_study.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
-    p_study.add_argument("--budget", type=_positive_int, default=300_000)
+    p_study.add_argument(
+        "--budget", type=_positive_int, help="gap and traffic only (default 300000)"
+    )
     p_study.add_argument("--jobs", type=_positive_int, default=1)
     p_study.add_argument("--degree-cap", type=int, default=None)
     p_study.add_argument("--edge-prob", type=float, default=None)

@@ -19,13 +19,20 @@ largest factor by which all demands could be multiplied while every node and
 odd-set capacity constraint still holds.  ``beta >= 1`` means the assignment
 is feasible as given.
 
-Exact odd-set evaluation enumerates all odd subsets and is capped at
-``ODDSET_EXACT_CAP`` nodes by default; above that, bracket variants return
-certified lower/upper bounds instead.  Per channel, the induced loads of all
-2^n node subsets are accumulated on a dense subset lattice (each edge adds its
-weight to the quarter of the lattice that contains both endpoints), and the
-odd subsets are then read off it.  The cap itself may not exceed
-``ODDSET_CAP_LIMIT``: the enumeration allocates arrays of 2^n entries.
+Both objectives read the same load tables: per node and channel
+(``_node_loads``) and per odd set and channel (``_oddset_loads``), weighted by
+demand for the capacity and by ``rho = demand / capacity`` (``_rho``) for the
+margin.
+
+``mode`` selects how the odd-set term is evaluated.  ``"exact"`` enumerates
+all odd subsets: per channel, the induced loads of all 2^n node subsets are
+accumulated on a dense subset lattice (each edge adds its weight to the
+quarter of the lattice that contains both endpoints), and the odd subsets are
+then read off it.  ``"bracket"`` returns certified lower/upper bounds instead.
+``"auto"`` is exact up to ``ODDSET_EXACT_CAP`` nodes and bracket above.  An
+explicit ``"exact"`` runs up to ``ODDSET_CAP_LIMIT`` nodes and is refused
+above that before anything is allocated: the enumeration allocates arrays of
+2^n entries.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,23 +86,40 @@ class OddSetConstraintWitness(NamedTuple):
 # -- shared load tables ---------------------------------------------------
 
 
-def _check_cap(oddset_exact_cap: int) -> None:
-    """Refuse an exact-enumeration cap whose tables could not be allocated."""
-    if oddset_exact_cap > ODDSET_CAP_LIMIT:
-        raise ValueError(
-            f"oddset_exact_cap {oddset_exact_cap} exceeds the limit of "
-            f"{ODDSET_CAP_LIMIT} nodes (exact enumeration allocates 2^n entries)"
-        )
+def _resolve_mode(net: Network, mode: str) -> str:
+    """'exact' or 'bracket'; 'auto' is exact up to ``ODDSET_EXACT_CAP`` nodes.
 
-
-def _resolve_mode(net: Network, mode: str, oddset_exact_cap: int) -> str:
-    """'exact' or 'bracket'; 'auto' is exact up to ``oddset_exact_cap`` nodes."""
-    _check_cap(oddset_exact_cap)
+    Exact mode is refused above ``ODDSET_CAP_LIMIT`` nodes, before any table
+    is allocated.
+    """
     if mode == "auto":
-        mode = "exact" if net.n_nodes <= oddset_exact_cap else "bracket"
+        mode = "exact" if net.n_nodes <= ODDSET_EXACT_CAP else "bracket"
     if mode not in ("exact", "bracket"):
         raise ValueError(f"unknown mode '{mode}'")
+    if mode == "exact" and net.n_nodes > ODDSET_CAP_LIMIT:
+        raise ValueError(
+            f"exact odd-set enumeration stops at {ODDSET_CAP_LIMIT} nodes "
+            f"(it allocates 2^n entries); this network has {net.n_nodes}, "
+            "use bracket mode"
+        )
     return mode
+
+
+def _rho(net: Network) -> np.ndarray:
+    """rho[e, w]: demand of edge e as a fraction of its capacity on w."""
+    return np.asarray(net.demands)[:, None] / np.asarray(net.capacity).T
+
+
+def _node_loads(
+    net: Network, y: ChannelAssignment, weights: Sequence[float]
+) -> np.ndarray:
+    """loads[v, w]: weight of the edges at node v on channel w, in edge order."""
+    loads = np.zeros((net.n_nodes, net.n_channels))
+    for e, (u, v) in enumerate(net.edges):
+        w = y.channel_of[e]
+        loads[u, w] += weights[e]
+        loads[v, w] += weights[e]
+    return loads
 
 
 def channel_load_at_node(
@@ -103,24 +127,11 @@ def channel_load_at_node(
 ) -> float:
     """Total demand incident to ``node`` carried on ``channel`` under y."""
     check_assignment(net, y)
+    if not 0 <= node < net.n_nodes:
+        raise ValueError(f"node index {node} out of range")
     if not 0 <= channel < net.n_channels:
         raise ValueError(f"channel index {channel} out of range")
-    return float(
-        sum(
-            net.demands[e]
-            for e in net.incident_edges(node)
-            if y.channel_of[e] == channel
-        )
-    )
-
-
-def _node_channel_loads(net: Network, y: ChannelAssignment) -> np.ndarray:
-    loads = np.zeros((net.n_nodes, net.n_channels))
-    for e, (u, v) in enumerate(net.edges):
-        w = y.channel_of[e]
-        loads[u, w] += net.demands[e]
-        loads[v, w] += net.demands[e]
-    return loads
+    return float(_node_loads(net, y, net.demands)[node, channel])
 
 
 @lru_cache(maxsize=8)
@@ -195,6 +206,15 @@ def _topk_sum(loads: np.ndarray, k: int) -> np.ndarray:
     return total
 
 
+def _first_odd_set(
+    masks: np.ndarray, tied: np.ndarray
+) -> tuple[tuple[int, ...], int, int]:
+    """(nodes, column, row) of the ``tied`` cell (odd set by column) whose
+    node set, then column, is lexicographically first."""
+    rows, cols = np.nonzero(tied)
+    return min((_mask_nodes(masks[i]), int(j), int(i)) for i, j in zip(rows, cols))
+
+
 def _best_channel_set(loads_row: np.ndarray, k_eff: int) -> tuple[int, ...]:
     """Smallest channel set of size k_eff attaining the top-k load sum."""
     order = sorted(range(len(loads_row)), key=lambda w: (-loads_row[w], w))
@@ -218,10 +238,10 @@ def max_node_load(
     if net.n_edges == 0:
         return 0.0, None
     k_eff = min(k, net.n_channels)
-    loads = _node_channel_loads(net, y)
+    loads = _node_loads(net, y, net.demands)
     per_node = _topk_sum(loads, k_eff)
-    best = float(per_node.max())
-    node = int(np.flatnonzero(per_node == per_node.max())[0])
+    node = int(per_node.argmax())
+    best = float(per_node[node])
     return best, NodeLoadWitness(node, _best_channel_set(loads[node], k_eff))
 
 
@@ -229,37 +249,25 @@ def max_node_load(
 
 
 def max_odd_set_load_exact(
-    net: Network,
-    y: ChannelAssignment,
-    k: int,
-    oddset_exact_cap: int = ODDSET_EXACT_CAP,
+    net: Network, y: ChannelAssignment, k: int
 ) -> tuple[float, OddSetLoadWitness | None]:
     """Odd-set term by full enumeration of odd subsets.
 
-    Refuses networks above ``oddset_exact_cap`` nodes; use
+    Refuses networks above ``ODDSET_CAP_LIMIT`` nodes; use
     :func:`max_odd_set_load_bracket` there instead.
     """
     check_assignment(net, y)
     if k < 1:
         raise ValueError("k must be >= 1")
-    _check_cap(oddset_exact_cap)
-    if net.n_nodes > oddset_exact_cap:
-        raise ValueError(
-            f"exact odd-set enumeration disabled above {oddset_exact_cap} nodes; "
-            "use max_odd_set_load_bracket"
-        )
+    _resolve_mode(net, "exact")
     if net.n_edges == 0 or net.n_nodes < 3:
         return 0.0, None
     k_eff = min(k, net.n_channels)
-    weights = np.asarray(net.demands)
-    masks, sizes, loads = _oddset_loads(net, y, weights)
+    masks, sizes, loads = _oddset_loads(net, y, np.asarray(net.demands))
     values = _topk_sum(loads, k_eff) * (2.0 / (sizes - 1))
-    best = float(values.max())
-    ties = np.flatnonzero(values == values.max())
-    node_sets = sorted(_mask_nodes(masks[i]) for i in ties)
-    chosen = node_sets[0]
-    row = int(ties[[_mask_nodes(masks[i]) for i in ties].index(chosen)])
-    return best, OddSetLoadWitness(chosen, _best_channel_set(loads[row], k_eff))
+    best = values.max()
+    nodes, _, row = _first_odd_set(masks, (values == best)[:, None])
+    return float(best), OddSetLoadWitness(nodes, _best_channel_set(loads[row], k_eff))
 
 
 def _triple_top_loads(
@@ -402,19 +410,15 @@ class RecoveryReport:
 
 
 def recovery_capacity(
-    net: Network,
-    y: ChannelAssignment,
-    k: int,
-    mode: str = "auto",
-    oddset_exact_cap: int = ODDSET_EXACT_CAP,
+    net: Network, y: ChannelAssignment, k: int, mode: str = "auto"
 ) -> RecoveryReport:
     """Evaluate the recovery capacity of assignment y at preemption level k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    mode = _resolve_mode(net, mode, oddset_exact_cap)
+    mode = _resolve_mode(net, mode)
     m1, wit1 = max_node_load(net, y, k)
     if mode == "exact":
-        m2, wit2 = max_odd_set_load_exact(net, y, k, oddset_exact_cap)
+        m2, wit2 = max_odd_set_load_exact(net, y, k)
         return RecoveryReport(
             k=k, mode="exact", m1=m1, witness_m1=wit1, m2=m2, witness_m2=wit2
         )
@@ -431,12 +435,6 @@ def is_interference_free(net: Network, y: ChannelAssignment) -> bool:
     """True iff no two links sharing a node share a channel."""
     check_assignment(net, y)
     return is_proper_labeling(net, y.channel_of)
-
-
-def _weighted_demands(net: Network, y: ChannelAssignment) -> np.ndarray:
-    return np.array(
-        [net.demands[e] / net.capacity[y.channel_of[e]][e] for e in range(net.n_edges)]
-    )
 
 
 @dataclass(frozen=True)
@@ -499,39 +497,30 @@ class FeasibilityReport:
 
 
 def feasibility_ratio(
-    net: Network,
-    y: ChannelAssignment,
-    mode: str = "auto",
-    oddset_exact_cap: int = ODDSET_EXACT_CAP,
+    net: Network, y: ChannelAssignment, mode: str = "auto"
 ) -> FeasibilityReport:
     """Compute the feasibility margins of assignment y."""
     check_assignment(net, y)
-    mode = _resolve_mode(net, mode, oddset_exact_cap)
+    mode = _resolve_mode(net, mode)
+    rho = _rho(net)[np.arange(net.n_edges), y.channel_of]
 
-    # Node margin: smallest slack 1/load over node-channel pairs with load.
+    # Node margin: smallest slack 1/load over node-channel pairs, the first
+    # in row-major order on ties; an unloaded pair has slack inf.
     z1 = math.inf
     wit1: NodeConstraintWitness | None = None
-    wloads = np.zeros((net.n_nodes, net.n_channels))
-    for e, (u, v) in enumerate(net.edges):
-        w = y.channel_of[e]
-        rho = net.demands[e] / net.capacity[w][e]
-        wloads[u, w] += rho
-        wloads[v, w] += rho
-    for v in range(net.n_nodes):
-        for w in range(net.n_channels):
-            if wloads[v, w] > 0.0:
-                margin = 1.0 / wloads[v, w]
-                if margin < z1:
-                    z1 = margin
-                    wit1 = NodeConstraintWitness(v, w)
+    if net.n_edges:
+        with np.errstate(divide="ignore"):
+            margins = 1.0 / _node_loads(net, y, rho.tolist())
+        v, w = divmod(int(margins.argmin()), net.n_channels)
+        z1, wit1 = float(margins[v, w]), NodeConstraintWitness(v, w)
 
     if mode == "exact":
-        z2, wit2 = _oddset_margin_exact(net, y, oddset_exact_cap)
+        z2, wit2 = _oddset_margin_exact(net, y, rho)
         return FeasibilityReport(
             mode="exact", z1=z1, witness_z1=wit1, z2=z2, witness_z2=wit2
         )
 
-    z2_3 = _oddset_margin_triples(net, y)
+    z2_3 = _oddset_margin_triples(net, y, rho)
     factor = 0.8 if is_interference_free(net, y) else 2.0 / 3.0
     z2_lo = min(z2_3, factor * z1)
     return FeasibilityReport(
@@ -540,38 +529,31 @@ def feasibility_ratio(
 
 
 def _oddset_margin_exact(
-    net: Network, y: ChannelAssignment, oddset_exact_cap: int
+    net: Network, y: ChannelAssignment, rho: np.ndarray
 ) -> tuple[float, OddSetConstraintWitness | None]:
-    if net.n_nodes > oddset_exact_cap:
-        raise ValueError(
-            f"exact odd-set enumeration disabled above {oddset_exact_cap} nodes; "
-            "use bracket mode"
-        )
     if net.n_edges == 0 or net.n_nodes < 3:
         return math.inf, None
-    masks, sizes, loads = _oddset_loads(net, y, _weighted_demands(net, y))
+    masks, sizes, loads = _oddset_loads(net, y, rho)
     limits = (sizes - 1) / 2.0  # >= 1, so an unloaded channel gives inf
     with np.errstate(divide="ignore"):
         margins = limits[:, None] / loads
     z2 = float(margins.min())
     if math.isinf(z2):
         return math.inf, None
-    rows, cols = np.nonzero(margins == margins.min())
-    cands = sorted(
-        (_mask_nodes(masks[i]), int(w)) for i, w in zip(rows, cols)
-    )
-    nodes, w = cands[0]
+    nodes, w, _ = _first_odd_set(masks, margins == z2)
     return z2, OddSetConstraintWitness(nodes, w)
 
 
-def _oddset_margin_triples(net: Network, y: ChannelAssignment) -> float:
+def _oddset_margin_triples(
+    net: Network, y: ChannelAssignment, rho: np.ndarray
+) -> float:
     """Exact odd-set margin restricted to 3-node subsets (limit is 1 there)."""
     if net.n_edges == 0 or net.n_nodes < 3:
         return math.inf
     top1, _, _ = _triple_top_loads(
         net.n_nodes,
         net.edges,
-        _weighted_demands(net, y),
+        rho,
         np.asarray(y.channel_of, dtype=np.int64),
     )
     if top1 <= 0.0:
@@ -579,14 +561,9 @@ def _oddset_margin_triples(net: Network, y: ChannelAssignment) -> float:
     return 1.0 / top1
 
 
-def is_feasible(
-    net: Network,
-    y: ChannelAssignment,
-    mode: str = "auto",
-    oddset_exact_cap: int = ODDSET_EXACT_CAP,
-) -> str:
+def is_feasible(net: Network, y: ChannelAssignment, mode: str = "auto") -> str:
     """'yes', 'no', or (bracket mode only) 'unknown'."""
-    return feasibility_ratio(net, y, mode, oddset_exact_cap).feasible
+    return feasibility_ratio(net, y, mode).feasible
 
 
 # -- generic floors -------------------------------------------------------

@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .assign import greedy_assign, ifa_assign, random_assign
-from .metrics import ODDSET_EXACT_CAP, TOL, _odd_masks, capacity_floor
+from .metrics import ODDSET_EXACT_CAP, TOL, _odd_masks, _rho, capacity_floor
 from .netmodel import ChannelAssignment, Network
 
 DEFAULT_LEAF_BUDGET = 10_000_000
@@ -93,16 +93,6 @@ def _odd_membership(net: Network) -> tuple[np.ndarray, np.ndarray]:
     for e, (u, v) in enumerate(net.edges):
         member[:, e] = ((masks >> u) & (masks >> v) & 1).astype(np.float64)
     return member, sizes
-
-
-def _weighted_demands(net: Network) -> np.ndarray:
-    """rho[e, w]: demand of edge e as a fraction of its capacity on w."""
-    return np.array(
-        [
-            [net.demands[e] / net.capacity[w][e] for w in range(net.n_channels)]
-            for e in range(net.n_edges)
-        ]
-    )
 
 
 def _oddset_margin(
@@ -169,7 +159,7 @@ def _capacity(net: Network, k: int, constrained: bool) -> _Problem:
     member_cap, scale_cap = member[keep], scale[keep]
 
     if constrained:
-        rho = _weighted_demands(net)
+        rho = _rho(net)
         rho_of = rho.tolist()
         wloads = [[0.0] * w for _ in range(n)]
         # only odd sets that some channel choice could overload
@@ -234,7 +224,7 @@ def _margin(net: Network) -> _Problem:
     """Feasibility margin, as the leaf value ``-beta``."""
     n, w = net.n_nodes, net.n_channels
     edges = net.edges
-    rho = _weighted_demands(net)
+    rho = _rho(net)
     rho_of = rho.tolist()
     wloads = [[0.0] * w for _ in range(n)]
     member, sizes = _odd_membership(net)

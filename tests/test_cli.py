@@ -145,22 +145,33 @@ def test_non_finite_and_overflowing_numbers_exit_2(
     assert captured.err.startswith("error: ") and msg in captured.err
 
 
-def test_oddset_cap_over_limit_rejected_before_allocation(
-    tmp_path, k3_file, capsys, monkeypatch
-):
-    y = tmp_path / "y.json"
-    assert main(["assign", "--net", k3_file, "--alg", "greedy", "--out", str(y)]) == 0
-    args = ["eval", "--net", k3_file, "--assignment", str(y), "--oddset-cap"]
-    assert main(args + [str(metrics.ODDSET_CAP_LIMIT)]) == 0
-    capsys.readouterr()
+def test_oddset_cap_over_limit_rejected_before_allocation(tmp_path, capsys, monkeypatch):
+    def eval_args(n_nodes):
+        net = make_network(n_nodes, [(0, 1), (1, 2)], [1.0, 2.0], 1)
+        p = tmp_path / f"path{n_nodes}.json"
+        p.write_text(serialize_network(net))
+        y = tmp_path / "y.json"
+        y.write_text(json.dumps({"assignment": {"0": "w0", "1": "w0"}}))
+        return ["eval", "--net", str(p), "--assignment", str(y), "--mode", "exact"]
+
+    # --mode exact alone asks for the enumeration above ODDSET_EXACT_CAP
+    assert main(eval_args(metrics.ODDSET_EXACT_CAP + 1)) == 0
+    assert json.loads(capsys.readouterr().out)["mode"] == "exact"
 
     def no_tables(n_nodes):
         raise AssertionError("odd-set tables allocated")
 
     monkeypatch.setattr(metrics, "_odd_masks", no_tables)
-    assert main(args + [str(metrics.ODDSET_CAP_LIMIT + 1)]) == 2
+    assert main(eval_args(metrics.ODDSET_CAP_LIMIT + 1)) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "exceeds the limit" in captured.err
+    assert captured.out == ""
+    assert captured.err.startswith("error: exact odd-set enumeration stops at")
+
+    # the size is chosen by --mode only; the old cap flag is unknown
+    with pytest.raises(SystemExit) as exc:
+        main(eval_args(3) + ["--oddset-cap", "20"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --oddset-cap" in capsys.readouterr().err
 
 
 def test_oracle_command(tmp_path, k3_file, capsys):
@@ -278,6 +289,29 @@ def test_study_axes_refused_before_any_task(monkeypatch, capsys, kind, axis, mes
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message} must be positive and distinct")
+
+
+@pytest.mark.parametrize(
+    "kind, flag",
+    [
+        ("scaling", ["--k-values", "1"]),
+        ("scaling", ["--budget", "100"]),
+        ("gap", ["--k", "2"]),
+        ("traffic", ["--k", "2"]),
+        ("traffic", ["--k-values", "1"]),
+    ],
+)
+def test_study_refuses_flags_of_other_kinds(monkeypatch, capsys, kind, flag):
+    def no_work(*args):
+        raise AssertionError("instance drawn or task started")
+
+    monkeypatch.setattr(experiments, "_run_tasks", no_work)
+    monkeypatch.setattr(experiments, "generate_instance", no_work)
+    argv = ["study", "--kind", kind, "--sizes", "6", "--channels", "2", "--trials", "2"]
+    assert main(argv + flag) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag[0]} does not apply to --kind {kind}\n"
 
 
 def test_cli_byte_determinism(tmp_path, k3_file):

@@ -283,8 +283,8 @@ def test_traffic_study_summary():
     if cell["solved"]:
         top = ms["optimal"]
         assert all(top >= v - TOL for v in ms.values())
-    # optimal rows exist only for solved instances
-    assert sum(1 for r in records if r.algorithm == "optimal") == cell["solved"]
+    # feasi always returns an incumbent, so every instance has an optimal row
+    assert sum(1 for r in records if r.algorithm == "optimal") == cell["trials"]
 
 
 def test_gap_study_parallel_determinism():

@@ -1,6 +1,7 @@
 """Capacity and feasibility metrics against hand traces, explicit
 enumeration, and the stated bounds."""
 
+import dataclasses
 import json
 import math
 
@@ -83,16 +84,16 @@ def test_odd_set_exact_k3():
 
 
 def test_odd_set_cap_refusal():
-    big = make_network(
-        ODDSET_EXACT_CAP + 1, [(0, 1)], [1.0], 1
-    )
-    with pytest.raises(ValueError, match="bracket"):
-        max_odd_set_load_exact(big, ChannelAssignment((0,)), 1)
-    # explicit override still works; any 3-set around the edge carries it
-    m2, _ = max_odd_set_load_exact(
-        big, ChannelAssignment((0,)), 1, oddset_exact_cap=ODDSET_EXACT_CAP + 1
-    )
+    # above ODDSET_EXACT_CAP auto picks bracket, and an explicit exact mode
+    # still evaluates; any 3-set around the edge carries it
+    big = make_network(ODDSET_EXACT_CAP + 1, [(0, 1)], [1.0], 1)
+    y = ChannelAssignment((0,))
+    assert recovery_capacity(big, y, 1).mode == "bracket"
+    assert feasibility_ratio(big, y).mode == "bracket"
+    m2, _ = max_odd_set_load_exact(big, y, 1)
     assert m2 == 1.0
+    assert recovery_capacity(big, y, 1, mode="exact").m2 == 1.0
+    assert feasibility_ratio(big, y, mode="exact").z2 == 1.0
 
 
 def test_odd_set_cap_limit_checked_before_allocation(monkeypatch):
@@ -100,15 +101,23 @@ def test_odd_set_cap_limit_checked_before_allocation(monkeypatch):
         raise AssertionError("odd-set tables allocated")
 
     monkeypatch.setattr(metrics, "_odd_masks", no_tables)
-    over = ODDSET_CAP_LIMIT + 1
+    at_limit = make_network(ODDSET_CAP_LIMIT, [], [], 1)
+    assert metrics._resolve_mode(at_limit, "exact") == "exact"
+    over = make_network(ODDSET_CAP_LIMIT + 1, [(0, 1), (1, 2)], [1.0, 2.0], 1)
+    y = ChannelAssignment((0, 0))
     for call in (
-        lambda: max_odd_set_load_exact(K3, Y_K3_ONE, 1, oddset_exact_cap=over),
-        lambda: recovery_capacity(K3, Y_K3_ONE, 1, oddset_exact_cap=over),
-        lambda: feasibility_ratio(K3, Y_K3_ONE, oddset_exact_cap=over),
-        lambda: feasibility_ratio(K3, Y_K3_ONE, "bracket", oddset_exact_cap=over),
+        lambda: max_odd_set_load_exact(over, y, 1),
+        lambda: recovery_capacity(over, y, 1, mode="exact"),
+        lambda: feasibility_ratio(over, y, mode="exact"),
     ):
-        with pytest.raises(ValueError, match="exceeds the limit"):
+        with pytest.raises(ValueError, match=f"stops at {ODDSET_CAP_LIMIT} nodes"):
             call()
+    # bracket mode, picked by auto at this size, needs no odd-set tables
+    for mode in ("bracket", "auto"):
+        rec = recovery_capacity(over, y, 1, mode=mode)
+        assert rec.mode == "bracket" and rec.capacity == (3.0, 4.5)
+        feas = feasibility_ratio(over, y, mode=mode)
+        assert feas.mode == "bracket" and feas.feasible == "no"
 
 
 def test_exact_reports_match_golden_file():
@@ -119,6 +128,28 @@ def test_exact_reports_match_golden_file():
     for case in cases:
         got = evaluate(*case_assignment(case))
         assert got == case["metrics"], (case["seed"], case["scheme"])
+
+
+def test_reports_hold_plain_floats():
+    net = generate_instance(InstanceSpec(n_nodes=8, n_channels=3), 11)
+    cases = [
+        (PATH, Y_ADJACENT),
+        (K3, Y_K3_ONE),
+        (make_network(3, [], [], 1), ChannelAssignment(())),
+        (net, random_assign(net, 11)),
+    ]
+    for net, y in cases:
+        for mode in ("exact", "bracket"):
+            reports = [recovery_capacity(net, y, k, mode=mode) for k in (1, 2)]
+            reports.append(feasibility_ratio(net, y, mode=mode))
+            for rep in reports:
+                for field in dataclasses.fields(rep):
+                    if field.name in ("k", "mode") or field.name.startswith("witness"):
+                        continue
+                    value = getattr(rep, field.name)
+                    assert value is None or type(value) is float, (
+                        mode, field.name, type(value)
+                    )
 
 
 def test_recovery_capacity_examples():
@@ -317,7 +348,7 @@ def test_oddset_loads_match_direct_per_subset_sums_bitwise():
             ):
                 for weights in (
                     np.asarray(net.demands),
-                    metrics._weighted_demands(net, y),
+                    metrics._rho(net)[np.arange(net.n_edges), y.channel_of],
                 ):
                     masks, sizes, loads = metrics._oddset_loads(net, y, weights)
                     want_masks, want = _direct_oddset_loads(net, y, weights)
