@@ -206,6 +206,46 @@ def _topk_sum(loads: np.ndarray, k: int) -> np.ndarray:
     return total
 
 
+def _triple_loads(
+    net: Network, y: ChannelAssignment, weights: np.ndarray
+) -> np.ndarray:
+    """Per-channel induced load of every 3-node set with two or three edges.
+
+    The sets are listed as wedges, two edges e < f at one node; a triangle
+    holds three wedges and is kept once, from its two lowest-index edges.
+    Each row adds its edges in edge-index order, as the subset lattice does,
+    so the rows equal the lattice's 3-node rows bit for bit.  Costs
+    O(sum of squared degrees) plus an n x n edge-id table.
+    """
+    n, m = net.n_nodes, net.n_edges
+    ends = np.asarray(net.edges, dtype=np.int64).reshape(m, 2)
+    # the 2m (node, other end, edge) incidences, sorted by node, then edge
+    node, other = ends.T.ravel(), ends[:, ::-1].T.ravel()
+    edge = np.tile(np.arange(m), 2)
+    order = np.lexsort((edge, node))
+    node, other, edge = node[order], other[order], edge[order]
+    # pair each incidence with every later one at the same node
+    later = np.searchsorted(node, node, side="right") - np.arange(2 * m) - 1
+    first = np.repeat(np.arange(2 * m), later)
+    step = np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    second = first + step + 1
+    edge_id = np.full((n, n), -1, dtype=np.int64)
+    edge_id[ends[:, 0], ends[:, 1]] = edge_id[ends[:, 1], ends[:, 0]] = np.arange(m)
+    e, f = edge[first], edge[second]
+    g = edge_id[other[first], other[second]]
+    keep = (g < 0) | (g > f)
+    e, f, g = e[keep], f[keep], g[keep]
+
+    channel = np.asarray(y.channel_of, dtype=np.int64)
+    loads = np.zeros((len(e), net.n_channels))
+    rows = np.arange(len(e))
+    loads[rows, channel[e]] += weights[e]
+    loads[rows, channel[f]] += weights[f]
+    tri = g >= 0
+    loads[rows[tri], channel[g[tri]]] += weights[g[tri]]
+    return loads
+
+
 def _first_odd_set(
     masks: np.ndarray, tied: np.ndarray
 ) -> tuple[tuple[int, ...], int, int]:
@@ -270,56 +310,17 @@ def max_odd_set_load_exact(
     return float(best), OddSetLoadWitness(nodes, _best_channel_set(loads[row], k_eff))
 
 
-def _triple_top_loads(
-    n_nodes: int,
-    edges: tuple[tuple[int, int], ...],
-    weights: np.ndarray,
-    channels: np.ndarray,
-) -> tuple[float, float, float]:
-    """Max over 3-node subsets of the top-1/2/3 per-channel induced load sums.
-
-    A 3-node subset induces at most three edges, hence at most three loaded
-    channels; the scan runs over (edge, third node) pairs so only subsets
-    with at least one induced edge are touched.
-    """
-    if n_nodes < 3 or len(edges) == 0:
-        return 0.0, 0.0, 0.0
-    dem = np.zeros((n_nodes, n_nodes))
-    chan = np.full((n_nodes, n_nodes), -1, dtype=np.int64)
-    for e, (u, v) in enumerate(edges):
-        dem[u, v] = dem[v, u] = weights[e]
-        chan[u, v] = chan[v, u] = channels[e]
-    us = np.fromiter((u for u, _ in edges), dtype=np.int64)
-    vs = np.fromiter((v for _, v in edges), dtype=np.int64)
-    r1 = weights[:, None]
-    w1 = channels[:, None]
-    r2, c2 = dem[us, :], chan[us, :]
-    r3, c3 = dem[vs, :], chan[vs, :]
-    t = np.arange(n_nodes)[None, :]
-    valid = (t != us[:, None]) & (t != vs[:, None])
-
-    la = r1 + r2 * (c2 == w1) + r3 * (c3 == w1)
-    lb = r2 * (c2 != w1) + r3 * ((c3 != w1) & (c3 == c2))
-    lc = r3 * ((c3 != w1) & (c3 != c2))
-    la = np.where(valid, la, 0.0)
-    lb = np.where(valid, lb, 0.0)
-    lc = np.where(valid, lc, 0.0)
-
-    top1 = np.maximum(la, np.maximum(lb, lc))
-    tot = la + lb + lc
-    top2 = tot - np.minimum(la, np.minimum(lb, lc))
-    return float(top1.max()), float(top2.max()), float(tot.max())
-
-
 def max_odd_set_load_bracket(
     net: Network, y: ChannelAssignment, k: int
 ) -> tuple[float, float]:
     """Certified [lo, hi] bounds on the odd-set term.
 
-    lo is exact over 3-node subsets.  hi comes from the node term: the
-    odd-set term never exceeds 1.5x the node term, and for interference-free
-    assignments the contribution of subsets of 5+ nodes never exceeds 1.25x
-    the node term.
+    lo is the exact odd-set term over 3-node subsets, bit for bit as exact
+    mode computes it there: the top-k sums of the ``_triple_loads`` rows, and
+    the largest single demand for the sets that hold one edge.  hi comes
+    from the node term: the odd-set term never exceeds 1.5x the node term,
+    and for interference-free assignments the contribution of subsets of 5+
+    nodes never exceeds 1.25x the node term.
     """
     check_assignment(net, y)
     if k < 1:
@@ -327,14 +328,9 @@ def max_odd_set_load_bracket(
     if net.n_edges == 0 or net.n_nodes < 3:
         # no odd sets at all, so the odd-set term is exactly zero
         return 0.0, 0.0
-    k_eff = min(k, net.n_channels)
-    tops = _triple_top_loads(
-        net.n_nodes,
-        net.edges,
-        np.asarray(net.demands),
-        np.asarray(y.channel_of, dtype=np.int64),
-    )
-    lo = tops[min(k_eff, 3) - 1]
+    demands = np.asarray(net.demands)
+    triples = _topk_sum(_triple_loads(net, y, demands), min(k, net.n_channels))
+    lo = float(np.max(triples, initial=demands.max()))
     m1, _ = max_node_load(net, y, k)
     if is_interference_free(net, y):
         hi = max(lo, 1.25 * m1)
@@ -520,11 +516,16 @@ def feasibility_ratio(
             mode="exact", z1=z1, witness_z1=wit1, z2=z2, witness_z2=wit2
         )
 
-    z2_3 = _oddset_margin_triples(net, y, rho)
+    # z2_hi is the exact odd-set margin over 3-node sets (limit 1 there):
+    # 1 over the largest load of a wedge-table row or of a single edge
+    z2_hi = math.inf
+    if net.n_edges and net.n_nodes >= 3:
+        with np.errstate(divide="ignore"):
+            z2_hi = float(1.0 / np.max(_triple_loads(net, y, rho), initial=rho.max()))
     factor = 0.8 if is_interference_free(net, y) else 2.0 / 3.0
-    z2_lo = min(z2_3, factor * z1)
+    z2_lo = min(z2_hi, factor * z1)
     return FeasibilityReport(
-        mode="bracket", z1=z1, witness_z1=wit1, z2_lo=z2_lo, z2_hi=z2_3
+        mode="bracket", z1=z1, witness_z1=wit1, z2_lo=z2_lo, z2_hi=z2_hi
     )
 
 
@@ -542,23 +543,6 @@ def _oddset_margin_exact(
         return math.inf, None
     nodes, w, _ = _first_odd_set(masks, margins == z2)
     return z2, OddSetConstraintWitness(nodes, w)
-
-
-def _oddset_margin_triples(
-    net: Network, y: ChannelAssignment, rho: np.ndarray
-) -> float:
-    """Exact odd-set margin restricted to 3-node subsets (limit is 1 there)."""
-    if net.n_edges == 0 or net.n_nodes < 3:
-        return math.inf
-    top1, _, _ = _triple_top_loads(
-        net.n_nodes,
-        net.edges,
-        rho,
-        np.asarray(y.channel_of, dtype=np.int64),
-    )
-    if top1 <= 0.0:
-        return math.inf
-    return 1.0 / top1
 
 
 def is_feasible(net: Network, y: ChannelAssignment, mode: str = "auto") -> str:

@@ -17,11 +17,16 @@ instance per combination, with the greedy, ifa and random schemes.
 Re-record only when a change is meant to alter the metrics' results:
 
     PYTHONPATH=src python tests/record_metrics_golden.py
+
+Before it writes, the script prints how many values differ from the existing
+file, per field path (list positions folded together), so the re-record can
+be checked against what the change was meant to alter.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -104,11 +109,32 @@ def golden_cases() -> list[dict]:
     return cases
 
 
+def changed_values(old, new, path: str = "") -> Counter:
+    """Number of differing leaf values of two documents, per field path."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        counts: Counter = Counter()
+        for key in old.keys() | new.keys():
+            sub = f"{path}.{key}" if path else key
+            counts += changed_values(old.get(key), new.get(key), sub)
+        return counts
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return sum((changed_values(a, b, path) for a, b in zip(old, new)), Counter())
+    return Counter({path: int(old != new)})
+
+
 def main() -> None:
-    lines = []
-    for case in golden_cases():
-        doc = dict(case, metrics=evaluate(*case_assignment(case)))
-        lines.append(json.dumps(doc, separators=(",", ":")))
+    docs = [
+        dict(case, metrics=evaluate(*case_assignment(case)))
+        for case in golden_cases()
+    ]
+    if GOLDEN_PATH.exists():
+        changed = changed_values(json.loads(GOLDEN_PATH.read_text()), docs)
+        print(f"changed values against {GOLDEN_PATH.name}:")
+        for path, count in sorted(changed.items()):
+            print(f"  {path}: {count}")
+        if not changed:
+            print("  none")
+    lines = [json.dumps(doc, separators=(",", ":")) for doc in docs]
     GOLDEN_PATH.write_text("[\n" + ",\n".join(lines) + "\n]\n")
     print(f"wrote {len(lines)} cases to {GOLDEN_PATH}")
 

@@ -19,7 +19,7 @@ from brute import (
     node_channel_load,
 )
 from chanrec import metrics
-from chanrec.assign import random_assign
+from chanrec.assign import greedy_assign, ifa_assign, random_assign
 from chanrec.experiments import InstanceSpec, generate_instance
 from chanrec.metrics import (
     IFA_CAPACITY_RATIO_BOUND,
@@ -359,6 +359,107 @@ def test_oddset_loads_match_direct_per_subset_sums_bitwise():
                     ), (n, w, y)
 
 
+# -- bracket mode reads the lattice's 3-node loads ------------------------
+
+
+def _lattice_triples(net, y, weights):
+    """The subset lattice's rows of the 3-node sets with two or three edges."""
+    masks, sizes, loads = metrics._oddset_loads(net, y, weights)
+    keep = [
+        i
+        for i in np.flatnonzero(sizes == 3)
+        if len(net.induced_edges(v for v in range(net.n_nodes) if masks[i] >> v & 1))
+        >= 2
+    ]
+    return loads[keep]
+
+
+def _assert_same_rows_bitwise(got, want):
+    # rows as multisets: the wedge table lists the sets in its own order
+    def canon(a):
+        bits = a.view(np.int64).reshape(a.shape)
+        return bits[np.lexsort(bits.T[::-1])] if len(bits) else bits
+
+    assert got.shape == want.shape
+    assert np.array_equal(canon(got), canon(want))
+
+
+def _seeded_bracket_cases():
+    rng = np.random.default_rng(408)
+    for n in range(3, 15):
+        for w in range(1, 5):
+            # uniform demands give ties between 3-node sets and with m1
+            for demand_range in ((1.0, 100.0), (40.0, 40.0)):
+                seed = int(rng.integers(0, 2**63))
+                spec = InstanceSpec(n_nodes=n, n_channels=w, demand_range=demand_range)
+                net = generate_instance(spec, seed)
+                if net.n_edges == 0:
+                    continue
+                for y in (greedy_assign(net), ifa_assign(net), random_assign(net, seed)):
+                    yield net, y
+
+
+def test_bracket_reads_exact_three_node_loads_bitwise():
+    # m2_lo and z2_hi are the exact odd-set values over 3-node sets, summed
+    # as the lattice sums them, so they bound the exact m2 and z2 bit for bit
+    for net, y in _seeded_bracket_cases():
+        rho = metrics._rho(net)[np.arange(net.n_edges), y.channel_of]
+        demands = np.asarray(net.demands)
+        for weights in (demands, rho):
+            _assert_same_rows_bitwise(
+                metrics._triple_loads(net, y, weights),
+                _lattice_triples(net, y, weights),
+            )
+        masks, sizes, loads = metrics._oddset_loads(net, y, demands)
+        for k in (1, 2, 3):
+            lo, _ = max_odd_set_load_bracket(net, y, k)
+            want = metrics._topk_sum(loads[sizes == 3], min(k, net.n_channels)).max()
+            assert lo.hex() == float(want).hex(), (net.n_nodes, net.n_channels, k)
+            m2, _ = max_odd_set_load_exact(net, y, k)
+            assert lo <= m2
+        _, sizes, rho_loads = metrics._oddset_loads(net, y, rho)
+        z2_hi = feasibility_ratio(net, y, mode="bracket").z2_hi
+        assert z2_hi.hex() == float(1.0 / rho_loads[sizes == 3].max()).hex()
+        assert z2_hi >= feasibility_ratio(net, y, mode="exact").z2
+
+
+def test_triple_loads_structural_cases():
+    # a perfect matching has no wedges: m2_lo is the largest demand
+    matching = make_network(6, [(0, 1), (2, 3), (4, 5)], [0.3, 0.7, 0.1], 2, 2.0)
+    y = ChannelAssignment((0, 0, 1))
+    assert metrics._triple_loads(matching, y, np.asarray(matching.demands)).shape == (0, 2)
+    assert max_odd_set_load_bracket(matching, y, 2)[0] == 0.7
+    assert feasibility_ratio(matching, y, mode="bracket").z2_hi == 1.0 / (0.7 / 2.0)
+
+    # one triangle on one channel is one row, summed in edge order: the other
+    # orders give 0x1.0126e978d4fe0p+1, one ulp above the exact m2
+    tri = make_network(3, [(0, 1), (0, 2), (1, 2)], [0.8, 0.66, 0.549], 2)
+    y = ChannelAssignment((1, 1, 1))
+    table = metrics._triple_loads(tri, y, np.asarray(tri.demands))
+    assert table.tolist() == [[0.0, (0.8 + 0.66) + 0.549]]
+    lo, _ = max_odd_set_load_bracket(tri, y, 1)
+    assert lo == (0.8 + 0.66) + 0.549 == max_odd_set_load_exact(tri, y, 1)[0]
+    assert lo < (0.549 + 0.8) + 0.66
+
+    # a star: every pair of its edges is a wedge, and no triangle
+    star = make_network(5, [(0, 1), (0, 2), (0, 3), (0, 4)], [1.0, 2.0, 4.0, 8.0], 2)
+    y = ChannelAssignment((0, 1, 0, 1))
+    table = metrics._triple_loads(star, y, np.asarray(star.demands))
+    _assert_same_rows_bitwise(table, _lattice_triples(star, y, np.asarray(star.demands)))
+    assert len(table) == 6
+    assert max_odd_set_load_bracket(star, y, 1)[0] == 10.0
+    assert max_odd_set_load_bracket(star, y, 2)[0] == 12.0
+
+    # K5: each of the ten triangles once, though it holds three wedges
+    pairs = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    k5 = make_network(5, pairs, [0.1 * (e + 1) for e in range(10)], 3)
+    y = random_assign(k5, 5)
+    for weights in (np.asarray(k5.demands), metrics._rho(k5)[np.arange(10), y.channel_of]):
+        table = metrics._triple_loads(k5, y, weights)
+        assert len(table) == 10
+        _assert_same_rows_bitwise(table, _lattice_triples(k5, y, weights))
+
+
 # -- property-based checks ------------------------------------------------
 
 
@@ -461,7 +562,7 @@ def test_bracket_contains_exact_value(data):
     net, y, k = data
     lo, hi = max_odd_set_load_bracket(net, y, k)
     m2, _ = max_odd_set_load_exact(net, y, k)
-    assert lo - TOL <= m2 <= hi + TOL
+    assert lo <= m2 <= hi + TOL
     assert abs(lo - brute_m2(net, y, k, max_size=3)) < 1e-9
     reb = recovery_capacity(net, y, k, mode="bracket")
     ree = recovery_capacity(net, y, k, mode="exact")
