@@ -217,8 +217,7 @@ def make_record(
         rec = recovery_capacity(net, y, k, mode=mode)
         feas = feasibility_ratio(net, y, mode=mode)
         m1 = rec.m1
-        m2_lo = rec.m2 if rec.mode == "exact" else rec.m2_lo
-        m2_hi = rec.m2 if rec.mode == "exact" else rec.m2_hi
+        m2_lo, m2_hi = rec.m2_lo, rec.m2_hi
         cap_lo, cap_hi = float(rec.capacity_lo), float(rec.capacity_hi)
         beta, feasible = float(feas.beta_lo), feas.feasible
         ratio = float(rec.capacity_hi / l_tot) if l_tot > 0 else 0.0

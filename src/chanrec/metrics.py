@@ -346,29 +346,30 @@ def max_odd_set_load_bracket(
 class RecoveryReport:
     """Recovery capacity of one assignment at preemption level k.
 
-    In exact mode ``m2`` and ``capacity`` are numbers; in bracket mode the
-    odd-set term is the interval [``m2_lo``, ``m2_hi``] and ``capacity`` the
-    induced interval.
+    The odd-set term is the interval [``m2_lo``, ``m2_hi``]; in exact mode
+    the two ends are equal, and ``m2`` and ``capacity`` are numbers.  In
+    bracket mode ``m2`` is None and ``capacity`` is the induced interval.
     """
 
     k: int
     mode: str
     m1: float
     witness_m1: NodeLoadWitness | None
-    m2: float | None = None
+    m2_lo: float
+    m2_hi: float
     witness_m2: OddSetLoadWitness | None = None
-    m2_lo: float | None = None
-    m2_hi: float | None = None
+
+    @property
+    def m2(self) -> float | None:
+        return self.m2_lo if self.mode == "exact" else None
 
     @property
     def capacity_lo(self) -> float:
-        m2 = self.m2 if self.mode == "exact" else self.m2_lo
-        return max(self.m1, m2)
+        return max(self.m1, self.m2_lo)
 
     @property
     def capacity_hi(self) -> float:
-        m2 = self.m2 if self.mode == "exact" else self.m2_hi
-        return max(self.m1, m2)
+        return max(self.m1, self.m2_hi)
 
     @property
     def capacity(self) -> float | tuple[float, float]:
@@ -379,7 +380,7 @@ class RecoveryReport:
     def to_json_dict(self) -> dict:
         out: dict = {"m1": self.m1}
         if self.mode == "exact":
-            out["m2"] = self.m2
+            out["m2"] = self.m2_lo
             out["capacity"] = self.capacity_lo
         else:
             out["m2_lo"] = self.m2_lo
@@ -415,12 +416,11 @@ def recovery_capacity(
     m1, wit1 = max_node_load(net, y, k)
     if mode == "exact":
         m2, wit2 = max_odd_set_load_exact(net, y, k)
-        return RecoveryReport(
-            k=k, mode="exact", m1=m1, witness_m1=wit1, m2=m2, witness_m2=wit2
-        )
-    lo, hi = max_odd_set_load_bracket(net, y, k)
+        lo = hi = m2
+    else:
+        (lo, hi), wit2 = max_odd_set_load_bracket(net, y, k), None
     return RecoveryReport(
-        k=k, mode="bracket", m1=m1, witness_m1=wit1, m2_lo=lo, m2_hi=hi
+        k=k, mode=mode, m1=m1, witness_m1=wit1, m2_lo=lo, m2_hi=hi, witness_m2=wit2
     )
 
 
@@ -439,27 +439,30 @@ class FeasibilityReport:
 
     ``z1`` is the scaling margin of the node constraints, ``z2`` of the
     odd-set constraints; ``beta = min(z1, z2)``.  Margins are ``inf`` when no
-    constraint is active (edgeless network).  In bracket mode ``z2`` and
-    ``beta`` are certified intervals and feasibility can be ``unknown``.
+    constraint is active (edgeless network).  The odd-set margin is the
+    interval [``z2_lo``, ``z2_hi``]; in exact mode the two ends are equal and
+    ``z2`` and ``beta`` are numbers.  In bracket mode ``z2`` is None, ``beta``
+    is a certified interval and feasibility can be ``unknown``.
     """
 
     mode: str
     z1: float
     witness_z1: NodeConstraintWitness | None
-    z2: float | None = None
+    z2_lo: float
+    z2_hi: float
     witness_z2: OddSetConstraintWitness | None = None
-    z2_lo: float | None = None
-    z2_hi: float | None = None
+
+    @property
+    def z2(self) -> float | None:
+        return self.z2_lo if self.mode == "exact" else None
 
     @property
     def beta_lo(self) -> float:
-        z2 = self.z2 if self.mode == "exact" else self.z2_lo
-        return min(self.z1, z2)
+        return min(self.z1, self.z2_lo)
 
     @property
     def beta_hi(self) -> float:
-        z2 = self.z2 if self.mode == "exact" else self.z2_hi
-        return min(self.z1, z2)
+        return min(self.z1, self.z2_hi)
 
     @property
     def beta(self) -> float | tuple[float, float]:
@@ -483,7 +486,7 @@ class FeasibilityReport:
 
         out: dict = {"z1": enc(self.z1)}
         if self.mode == "exact":
-            out["z2"] = enc(self.z2)
+            out["z2"] = enc(self.z2_lo)
             out["beta"] = enc(self.beta_lo)
         else:
             out["z2"] = [enc(self.z2_lo), enc(self.z2_hi)]
@@ -513,7 +516,7 @@ def feasibility_ratio(
     if mode == "exact":
         z2, wit2 = _oddset_margin_exact(net, y, rho)
         return FeasibilityReport(
-            mode="exact", z1=z1, witness_z1=wit1, z2=z2, witness_z2=wit2
+            mode=mode, z1=z1, witness_z1=wit1, z2_lo=z2, z2_hi=z2, witness_z2=wit2
         )
 
     # z2_hi is the exact odd-set margin over 3-node sets (limit 1 there):
