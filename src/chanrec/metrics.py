@@ -20,7 +20,8 @@ odd-set capacity constraint still holds.  ``beta >= 1`` means the assignment
 is feasible as given.
 
 Both objectives read the same load tables: per node and channel
-(``_node_loads``) and per odd set and channel (``_oddset_loads``), weighted by
+(``_node_loads``), per odd set and channel (``_oddset_loads``) and, in
+bracket mode, per 3-node set and channel (``_triple_loads``), weighted by
 demand for the capacity and by ``rho = demand / capacity`` (``_rho``) for the
 margin.
 
@@ -28,7 +29,11 @@ margin.
 all odd subsets: per channel, the induced loads of all 2^n node subsets are
 accumulated on a dense subset lattice (each edge adds its weight to the
 quarter of the lattice that contains both endpoints), and the odd subsets are
-then read off it.  ``"bracket"`` returns certified lower/upper bounds instead.
+then read off it.  ``"bracket"`` returns certified lower/upper bounds instead:
+the odd-set end (``m2_lo``, ``z2_hi``) is the exact value over 3-node sets,
+read from a wedge table whose rows add their edges in edge-index order as the
+lattice does, so it matches exact mode there bit for bit; the node term bounds
+the other end.
 ``"auto"`` is exact up to ``ODDSET_EXACT_CAP`` nodes and bracket above.  An
 explicit ``"exact"`` runs up to ``ODDSET_CAP_LIMIT`` nodes and is refused
 above that before anything is allocated: the enumeration allocates arrays of
@@ -218,7 +223,7 @@ def _triple_loads(
     O(sum of squared degrees) plus an n x n edge-id table.
     """
     n, m = net.n_nodes, net.n_edges
-    ends = np.asarray(net.edges, dtype=np.int64).reshape(m, 2)
+    ends = np.asarray(net.edges, dtype=np.int64)
     # the 2m (node, other end, edge) incidences, sorted by node, then edge
     node, other = ends.T.ravel(), ends[:, ::-1].T.ravel()
     edge = np.tile(np.arange(m), 2)
@@ -414,11 +419,12 @@ def recovery_capacity(
         raise ValueError("k must be >= 1")
     mode = _resolve_mode(net, mode)
     m1, wit1 = max_node_load(net, y, k)
+    wit2 = None
     if mode == "exact":
-        m2, wit2 = max_odd_set_load_exact(net, y, k)
-        lo = hi = m2
+        lo, wit2 = max_odd_set_load_exact(net, y, k)
+        hi = lo
     else:
-        (lo, hi), wit2 = max_odd_set_load_bracket(net, y, k), None
+        lo, hi = max_odd_set_load_bracket(net, y, k)
     return RecoveryReport(
         k=k, mode=mode, m1=m1, witness_m1=wit1, m2_lo=lo, m2_hi=hi, witness_m2=wit2
     )
@@ -523,8 +529,9 @@ def feasibility_ratio(
     # 1 over the largest load of a wedge-table row or of a single edge
     z2_hi = math.inf
     if net.n_edges and net.n_nodes >= 3:
+        top = np.max(_triple_loads(net, y, rho), initial=rho.max())
         with np.errstate(divide="ignore"):
-            z2_hi = float(1.0 / np.max(_triple_loads(net, y, rho), initial=rho.max()))
+            z2_hi = float(1.0 / top)
     factor = 0.8 if is_interference_free(net, y) else 2.0 / 3.0
     z2_lo = min(z2_hi, factor * z1)
     return FeasibilityReport(

@@ -365,20 +365,19 @@ def test_oddset_loads_match_direct_per_subset_sums_bitwise():
 def _lattice_triples(net, y, weights):
     """The subset lattice's rows of the 3-node sets with two or three edges."""
     masks, sizes, loads = metrics._oddset_loads(net, y, weights)
-    keep = [
-        i
-        for i in np.flatnonzero(sizes == 3)
-        if len(net.induced_edges(v for v in range(net.n_nodes) if masks[i] >> v & 1))
-        >= 2
-    ]
+    keep = []
+    for i in np.flatnonzero(sizes == 3):
+        nodes = [v for v in range(net.n_nodes) if masks[i] >> v & 1]
+        if len(net.induced_edges(nodes)) >= 2:
+            keep.append(i)
     return loads[keep]
 
 
 def _assert_same_rows_bitwise(got, want):
     # rows as multisets: the wedge table lists the sets in its own order
     def canon(a):
-        bits = a.view(np.int64).reshape(a.shape)
-        return bits[np.lexsort(bits.T[::-1])] if len(bits) else bits
+        bits = a.view(np.int64)
+        return bits[np.lexsort(bits.T[::-1])]
 
     assert got.shape == want.shape
     assert np.array_equal(canon(got), canon(want))
@@ -391,12 +390,13 @@ def _seeded_bracket_cases():
             # uniform demands give ties between 3-node sets and with m1
             for demand_range in ((1.0, 100.0), (40.0, 40.0)):
                 seed = int(rng.integers(0, 2**63))
-                spec = InstanceSpec(n_nodes=n, n_channels=w, demand_range=demand_range)
+                spec = InstanceSpec(n, w, demand_range=demand_range)
                 net = generate_instance(spec, seed)
                 if net.n_edges == 0:
                     continue
-                for y in (greedy_assign(net), ifa_assign(net), random_assign(net, seed)):
-                    yield net, y
+                yield net, greedy_assign(net)
+                yield net, ifa_assign(net)
+                yield net, random_assign(net, seed)
 
 
 def test_bracket_reads_exact_three_node_loads_bitwise():
@@ -410,10 +410,11 @@ def test_bracket_reads_exact_three_node_loads_bitwise():
                 metrics._triple_loads(net, y, weights),
                 _lattice_triples(net, y, weights),
             )
-        masks, sizes, loads = metrics._oddset_loads(net, y, demands)
+        _, sizes, loads = metrics._oddset_loads(net, y, demands)
         for k in (1, 2, 3):
             lo, _ = max_odd_set_load_bracket(net, y, k)
-            want = metrics._topk_sum(loads[sizes == 3], min(k, net.n_channels)).max()
+            k_eff = min(k, net.n_channels)
+            want = metrics._topk_sum(loads[sizes == 3], k_eff).max()
             assert lo.hex() == float(want).hex(), (net.n_nodes, net.n_channels, k)
             m2, _ = max_odd_set_load_exact(net, y, k)
             assert lo <= m2
@@ -427,7 +428,8 @@ def test_triple_loads_structural_cases():
     # a perfect matching has no wedges: m2_lo is the largest demand
     matching = make_network(6, [(0, 1), (2, 3), (4, 5)], [0.3, 0.7, 0.1], 2, 2.0)
     y = ChannelAssignment((0, 0, 1))
-    assert metrics._triple_loads(matching, y, np.asarray(matching.demands)).shape == (0, 2)
+    demands = np.asarray(matching.demands)
+    assert metrics._triple_loads(matching, y, demands).shape == (0, 2)
     assert max_odd_set_load_bracket(matching, y, 2)[0] == 0.7
     assert feasibility_ratio(matching, y, mode="bracket").z2_hi == 1.0 / (0.7 / 2.0)
 
@@ -444,8 +446,9 @@ def test_triple_loads_structural_cases():
     # a star: every pair of its edges is a wedge, and no triangle
     star = make_network(5, [(0, 1), (0, 2), (0, 3), (0, 4)], [1.0, 2.0, 4.0, 8.0], 2)
     y = ChannelAssignment((0, 1, 0, 1))
-    table = metrics._triple_loads(star, y, np.asarray(star.demands))
-    _assert_same_rows_bitwise(table, _lattice_triples(star, y, np.asarray(star.demands)))
+    demands = np.asarray(star.demands)
+    table = metrics._triple_loads(star, y, demands)
+    _assert_same_rows_bitwise(table, _lattice_triples(star, y, demands))
     assert len(table) == 6
     assert max_odd_set_load_bracket(star, y, 1)[0] == 10.0
     assert max_odd_set_load_bracket(star, y, 2)[0] == 12.0
@@ -454,7 +457,8 @@ def test_triple_loads_structural_cases():
     pairs = [(u, v) for u in range(5) for v in range(u + 1, 5)]
     k5 = make_network(5, pairs, [0.1 * (e + 1) for e in range(10)], 3)
     y = random_assign(k5, 5)
-    for weights in (np.asarray(k5.demands), metrics._rho(k5)[np.arange(10), y.channel_of]):
+    rho = metrics._rho(k5)[np.arange(10), y.channel_of]
+    for weights in (np.asarray(k5.demands), rho):
         table = metrics._triple_loads(k5, y, weights)
         assert len(table) == 10
         _assert_same_rows_bitwise(table, _lattice_triples(k5, y, weights))
