@@ -4,7 +4,9 @@ Instances are random graphs with a degree cap: node pairs are visited in
 seeded-random order and an edge is added with probability ``edge_prob``
 unless either endpoint already has ``degree_cap`` edges.  Demands are drawn
 uniformly per link; capacity is drawn uniformly per channel and shared by all
-links on that channel.
+links on that channel.  Every pair's coin is drawn in one call, and the
+demands in one call, in edge-addition order; the stream is the same as one
+draw per call.
 
 Every instance gets its own seed derived from the master seed and a running
 instance index with a splitmix-style mix (golden-ratio increment plus the
@@ -83,36 +85,24 @@ def generate_instance(spec: InstanceSpec, seed: int) -> Network:
     order, then one capacity per channel."""
     rng = np.random.default_rng(seed)
     n = spec.n_nodes
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    visit = rng.permutation(len(pairs))
+    us, vs = np.triu_indices(n, 1)
+    visit = rng.permutation(len(us))
+    heads = visit[rng.random(len(visit)) < spec.edge_prob]
     degree = [0] * n
     edges: list[tuple[int, int]] = []
-    for i in visit:
-        u, v = pairs[i]
-        coin = rng.random()
-        if (
-            coin < spec.edge_prob
-            and degree[u] < spec.degree_cap
-            and degree[v] < spec.degree_cap
-        ):
+    for u, v in zip(us[heads].tolist(), vs[heads].tolist()):
+        if degree[u] < spec.degree_cap and degree[v] < spec.degree_cap:
             edges.append((u, v))
             degree[u] += 1
             degree[v] += 1
-    demands = tuple(
-        float(rng.uniform(spec.demand_range[0], spec.demand_range[1]))
-        for _ in edges
-    )
-    per_channel = [
-        float(rng.uniform(spec.capacity_range[0], spec.capacity_range[1]))
-        for _ in range(spec.n_channels)
-    ]
-    capacity = tuple(tuple(c for _ in edges) for c in per_channel)
+    demands = rng.uniform(*spec.demand_range, len(edges)).tolist()
+    per_channel = rng.uniform(*spec.capacity_range, spec.n_channels).tolist()
     return Network(
         node_names=tuple(f"n{i}" for i in range(n)),
         channel_names=tuple(f"w{i}" for i in range(spec.n_channels)),
         edges=tuple(edges),
-        demands=demands,
-        capacity=capacity,
+        demands=tuple(demands),
+        capacity=tuple((c,) * len(edges) for c in per_channel),
     )
 
 

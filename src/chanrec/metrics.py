@@ -118,13 +118,12 @@ def _rho(net: Network) -> np.ndarray:
 def _node_loads(
     net: Network, y: ChannelAssignment, weights: Sequence[float]
 ) -> np.ndarray:
-    """loads[v, w]: weight of the edges at node v on channel w, in edge order."""
-    loads = np.zeros((net.n_nodes, net.n_channels))
-    for e, (u, v) in enumerate(net.edges):
-        w = y.channel_of[e]
-        loads[u, w] += weights[e]
-        loads[v, w] += weights[e]
-    return loads
+    """loads[v, w]: weight of the edges at node v on channel w, in edge order
+    (``bincount`` adds the cells (u0, w0), (v0, w0), (u1, w1), ... in turn)."""
+    n, n_w = net.n_nodes, net.n_channels
+    ends = np.asarray(net.edges, dtype=np.intp).reshape(-1, 2)
+    cells = (ends * n_w + np.asarray(y.channel_of, dtype=np.intp)[:, None]).ravel()
+    return np.bincount(cells, np.repeat(weights, 2), n * n_w).reshape(n, n_w)
 
 
 def channel_load_at_node(
@@ -280,6 +279,12 @@ def max_node_load(
     check_assignment(net, y)
     if k < 1:
         raise ValueError("k must be >= 1")
+    return _max_node_load(net, y, k)
+
+
+def _max_node_load(
+    net: Network, y: ChannelAssignment, k: int
+) -> tuple[float, NodeLoadWitness | None]:
     if net.n_edges == 0:
         return 0.0, None
     k_eff = min(k, net.n_channels)
@@ -327,21 +332,22 @@ def max_odd_set_load_bracket(
     and for interference-free assignments the contribution of subsets of 5+
     nodes never exceeds 1.25x the node term.
     """
-    check_assignment(net, y)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    m1, _ = max_node_load(net, y, k)
+    return _odd_set_bracket(net, y, k, m1)
+
+
+def _odd_set_bracket(
+    net: Network, y: ChannelAssignment, k: int, m1: float
+) -> tuple[float, float]:
+    """``max_odd_set_load_bracket`` given the node term ``m1`` of (y, k)."""
     if net.n_edges == 0 or net.n_nodes < 3:
         # no odd sets at all, so the odd-set term is exactly zero
         return 0.0, 0.0
     demands = np.asarray(net.demands)
     triples = _topk_sum(_triple_loads(net, y, demands), min(k, net.n_channels))
     lo = float(np.max(triples, initial=demands.max()))
-    m1, _ = max_node_load(net, y, k)
-    if is_interference_free(net, y):
-        hi = max(lo, 1.25 * m1)
-    else:
-        hi = max(lo, 1.5 * m1)
-    return lo, hi
+    factor = 1.25 if is_proper_labeling(net, y.channel_of) else 1.5
+    return lo, max(lo, factor * m1)
 
 
 # -- recovery capacity ----------------------------------------------------
@@ -418,13 +424,14 @@ def recovery_capacity(
     if k < 1:
         raise ValueError("k must be >= 1")
     mode = _resolve_mode(net, mode)
-    m1, wit1 = max_node_load(net, y, k)
-    wit2 = None
+    # y is checked once, by the term called through its public name
     if mode == "exact":
         lo, wit2 = max_odd_set_load_exact(net, y, k)
+        m1, wit1 = _max_node_load(net, y, k)
         hi = lo
     else:
-        lo, hi = max_odd_set_load_bracket(net, y, k)
+        m1, wit1 = max_node_load(net, y, k)
+        (lo, hi), wit2 = _odd_set_bracket(net, y, k, m1), None
     return RecoveryReport(
         k=k, mode=mode, m1=m1, witness_m1=wit1, m2_lo=lo, m2_hi=hi, witness_m2=wit2
     )
@@ -515,7 +522,7 @@ def feasibility_ratio(
     wit1: NodeConstraintWitness | None = None
     if net.n_edges:
         with np.errstate(divide="ignore"):
-            margins = 1.0 / _node_loads(net, y, rho.tolist())
+            margins = 1.0 / _node_loads(net, y, rho)
         v, w = divmod(int(margins.argmin()), net.n_channels)
         z1, wit1 = float(margins[v, w]), NodeConstraintWitness(v, w)
 
@@ -532,7 +539,7 @@ def feasibility_ratio(
         top = np.max(_triple_loads(net, y, rho), initial=rho.max())
         with np.errstate(divide="ignore"):
             z2_hi = float(1.0 / top)
-    factor = 0.8 if is_interference_free(net, y) else 2.0 / 3.0
+    factor = 0.8 if is_proper_labeling(net, y.channel_of) else 2.0 / 3.0
     z2_lo = min(z2_hi, factor * z1)
     return FeasibilityReport(
         mode="bracket", z1=z1, witness_z1=wit1, z2_lo=z2_lo, z2_hi=z2_hi

@@ -153,6 +153,8 @@ def check_assignment(net: Network, y: ChannelAssignment) -> None:
         raise ValueError(
             f"assignment covers {len(y.channel_of)} edges, network has {net.n_edges}"
         )
+    if max(y.channel_of, default=-1) < net.n_channels:
+        return
     for e, w in enumerate(y.channel_of):
         if w >= net.n_channels:
             raise ValueError(f"edge {e}: channel index {w} out of range")

@@ -8,7 +8,9 @@ tiny instances.
 import itertools
 import math
 
-from chanrec.netmodel import ChannelAssignment
+import numpy as np
+
+from chanrec.netmodel import ChannelAssignment, Network
 
 
 def node_channel_load(net, y, v, w):
@@ -152,3 +154,42 @@ def sequential_proper_assignment(net, rng):
             raise ValueError("not enough channels for a proper assignment")
         chan[e] = w
     return ChannelAssignment(tuple(chan))
+
+
+def generate_instance_scalar(spec, seed):
+    """The instance generator drawn one coin and one demand per call, in the
+    documented draw order: pair visiting order, one coin per visited pair,
+    demands in edge-addition order, then one capacity per channel."""
+    rng = np.random.default_rng(seed)
+    n = spec.n_nodes
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    visit = rng.permutation(len(pairs))
+    degree = [0] * n
+    edges = []
+    for i in visit:
+        u, v = pairs[i]
+        coin = rng.random()
+        if (
+            coin < spec.edge_prob
+            and degree[u] < spec.degree_cap
+            and degree[v] < spec.degree_cap
+        ):
+            edges.append((u, v))
+            degree[u] += 1
+            degree[v] += 1
+    demands = tuple(
+        float(rng.uniform(spec.demand_range[0], spec.demand_range[1]))
+        for _ in edges
+    )
+    per_channel = [
+        float(rng.uniform(spec.capacity_range[0], spec.capacity_range[1]))
+        for _ in range(spec.n_channels)
+    ]
+    capacity = tuple(tuple(c for _ in edges) for c in per_channel)
+    return Network(
+        node_names=tuple(f"n{i}" for i in range(n)),
+        channel_names=tuple(f"w{i}" for i in range(spec.n_channels)),
+        edges=tuple(edges),
+        demands=demands,
+        capacity=capacity,
+    )

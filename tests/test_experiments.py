@@ -9,6 +9,7 @@ import random
 import numpy as np
 import pytest
 
+from brute import generate_instance_scalar
 from chanrec import experiments
 from chanrec.experiments import (
     CSV_HEADER,
@@ -69,6 +70,32 @@ def test_generator_deterministic_per_seed():
     spec = InstanceSpec(n_nodes=12, n_channels=3)
     assert generate_instance(spec, 7) == generate_instance(spec, 7)
     assert generate_instance(spec, 7) != generate_instance(spec, 8)
+
+
+def test_generator_matches_scalar_draws_bitwise():
+    # the library draws all coins, demands and capacities in one call each;
+    # the reference draws one value per call in the same order
+    for n in (1, 2, 3, 8, 40, 220):
+        for p in (0.0, 0.3, 0.6, 1.0):
+            for cap in (0, 2, 8, max(n, 9)):
+                for i, (demand, capacity) in enumerate(
+                    [((1.0, 100.0), (75.0, 200.0)), ((3.5, 3.5), (150.0, 150.0))]
+                ):
+                    spec = InstanceSpec(n, 1 + 3 * i, p, cap, demand, capacity)
+                    for s in range(3):
+                        seed = derive_seed(n * 1000 + cap, s)
+                        ours = generate_instance(spec, seed)
+                        ref = generate_instance_scalar(spec, seed)
+                        assert ours.edges == ref.edges, (spec, seed)
+                        assert [r.hex() for r in ours.demands] == [
+                            r.hex() for r in ref.demands
+                        ], (spec, seed)
+                        assert [[c.hex() for c in row] for row in ours.capacity] == [
+                            [c.hex() for c in row] for row in ref.capacity
+                        ], (spec, seed)
+                        assert ours.node_names == ref.node_names
+                        assert ours.channel_names == ref.channel_names
+                        assert ours == ref
 
 
 def _reference_degree_sample(n, p, cap, trials, seed):

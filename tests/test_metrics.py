@@ -490,6 +490,30 @@ def test_topk_sum_matches_descending_cumsum_bitwise(data):
     assert np.array_equal(x, before)
 
 
+@given(st.data())
+def test_node_loads_match_per_edge_loop_bitwise(data):
+    n = data.draw(st.integers(min_value=1, max_value=12))
+    w = data.draw(st.integers(min_value=1, max_value=4))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    mask = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = data.draw(st.permutations([p for p, b in zip(pairs, mask) if b]))
+    # weights over many orders of magnitude, so the order of addition shows
+    magnitude = st.tuples(
+        st.floats(min_value=1.0, max_value=10.0), st.integers(min_value=-6, max_value=9)
+    ).map(lambda t: t[0] * 10.0 ** t[1])
+    weights = data.draw(st.lists(magnitude, min_size=len(edges), max_size=len(edges)))
+    net = make_network(n, edges, [1.0] * len(edges), w)
+    y = ChannelAssignment(
+        tuple(data.draw(st.integers(min_value=0, max_value=w - 1)) for _ in edges)
+    )
+    want = np.zeros((n, w))
+    for e, (u, v) in enumerate(net.edges):
+        want[u, y.channel_of[e]] += weights[e]
+        want[v, y.channel_of[e]] += weights[e]
+    assert np.array_equal(metrics._node_loads(net, y, weights), want)
+    assert np.array_equal(metrics._node_loads(net, y, np.array(weights)), want)
+
+
 @st.composite
 def net_and_assignment(draw, homogeneous=False, bipartite=False):
     n = draw(st.integers(min_value=2, max_value=7))

@@ -88,6 +88,9 @@ def test_assignment_checks():
         check_assignment(net, ChannelAssignment((0, 1)))
     with pytest.raises(ValueError, match="out of range"):
         check_assignment(net, ChannelAssignment((0, 1, 2)))
+    # two bad edges: the message names the first, not the largest index
+    with pytest.raises(ValueError, match=r"^edge 1: channel index 2 out of range$"):
+        check_assignment(net, ChannelAssignment((0, 2, 5)))
     with pytest.raises(ValueError, match="negative"):
         ChannelAssignment((0, -1))
 
