@@ -130,6 +130,34 @@ def test_exact_reports_match_golden_file():
         assert got == case["metrics"], (case["seed"], case["scheme"])
 
 
+def test_each_public_metric_checks_the_assignment_once(monkeypatch):
+    calls = {"check": 0, "node": 0}
+    check, node = metrics.check_assignment, metrics.max_node_load
+
+    def counted_check(net, y):
+        calls["check"] += 1
+        check(net, y)
+
+    def counted_node(net, y, k):
+        calls["node"] += 1
+        return node(net, y, k)
+
+    monkeypatch.setattr(metrics, "check_assignment", counted_check)
+    monkeypatch.setattr(metrics, "max_node_load", counted_node)
+    net = generate_instance(InstanceSpec(n_nodes=9, n_channels=3), 11)
+    y = greedy_assign(net)
+    for mode in ("exact", "bracket"):
+        for call in (
+            lambda: recovery_capacity(net, y, 2, mode=mode),
+            lambda: feasibility_ratio(net, y, mode=mode),
+            lambda: max_odd_set_load_bracket(net, y, 2),
+        ):
+            calls.update(check=0, node=0)
+            call()
+            assert calls["check"] == 1, mode
+            assert calls["node"] <= 1, mode
+
+
 def test_reports_hold_plain_floats():
     net = generate_instance(InstanceSpec(n_nodes=8, n_channels=3), 11)
     cases = [
