@@ -116,7 +116,7 @@ def _rho(net: Network) -> np.ndarray:
 
 
 def _node_loads(
-    net: Network, y: ChannelAssignment, weights: Sequence[float]
+    net: Network, y: ChannelAssignment, weights: Sequence[float] | np.ndarray
 ) -> np.ndarray:
     """loads[v, w]: weight of the edges at node v on channel w, in edge order
     (``bincount`` adds the cells (u0, w0), (v0, w0), (u1, w1), ... in turn)."""

@@ -14,7 +14,8 @@ first seed, then writes one JSON file with:
   end-to-end metric, with each run's value, and whether every run was correct;
 * per workload, the traced per-layer metrics and the round count they cover;
 * with ``--tier1``, the wall time, exit code and summary line of the Tier-1
-  command ``python -m pytest -q --continue-on-collection-errors``.
+  command ``python -m pytest -q --continue-on-collection-errors``, run
+  without pytest's cache plugin so that it writes nothing into the checkout.
 
 Nothing under ``perfbench/`` is changed; its own scratch and span files go
 where ``perfbench/run.py`` puts them.
