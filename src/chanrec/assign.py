@@ -108,13 +108,16 @@ def edge_color(net: Network) -> EdgeColoring:
         if c != d and not pal.free(u0, d):
             _invert_path(pal, u0, c, d)
 
-        w_idx = None
-        for i, x in enumerate(fan):
-            if pal.free(x, d) and _prefix_fan_ok(pal, u0, fan, i):
-                w_idx = i
+        # rotate the shortest fan prefix ending at a vertex with d free; a
+        # prefix is a fan only if each edge's color is free at the previous
+        # vertex, so the scan stops at the first edge that breaks this
+        for w_idx, x in enumerate(fan):
+            if pal.free(x, d):
                 break
-        if w_idx is None:
-            raise AssertionError("no rotatable fan prefix; coloring bug")
+            if w_idx + 1 == len(fan) or not pal.free(
+                x, pal.ecolor[pal.edge(u0, fan[w_idx + 1])]
+            ):
+                raise AssertionError("no rotatable fan prefix; coloring bug")
 
         new_cols = [
             pal.ecolor[pal.edge(u0, fan[j + 1])] for j in range(w_idx)
@@ -143,15 +146,6 @@ def _invert_path(pal: _Palette, u0: int, c: int, d: int) -> None:
         pal.unset_color(a, b)
     for a, b, cc in path:
         pal.set_color(a, b, d if cc == c else c)
-
-
-def _prefix_fan_ok(pal: _Palette, u0: int, fan: list[int], i: int) -> bool:
-    """Fan condition on fan[0..i]: each edge's color free at the previous vertex."""
-    for j in range(i):
-        cc = pal.ecolor[pal.edge(u0, fan[j + 1])]
-        if cc == -1 or not pal.free(fan[j], cc):
-            return False
-    return True
 
 
 def greedy_assign(

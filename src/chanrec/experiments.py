@@ -34,6 +34,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -320,6 +321,27 @@ def _oracle_task(args: tuple) -> list[ExperimentRecord]:
 # -- the three studies ----------------------------------------------------
 
 
+def _by_cell(records: list[ExperimentRecord]) -> dict[tuple, list[ExperimentRecord]]:
+    """The records grouped by ``(n_channels, n_nodes, k)``, in record order."""
+    cells: dict[tuple, list[ExperimentRecord]] = {}
+    for r in records:
+        cells.setdefault((r.n_channels, r.n_nodes, r.k), []).append(r)
+    return cells
+
+
+def _mean_and_count(pairs: Iterable[tuple[str, float]]) -> tuple[dict, dict]:
+    """Per algorithm of the ``(algorithm, value)`` pairs, sorted by name: the
+    mean value and the number of values."""
+    values: dict[str, list[float]] = {}
+    for alg, v in pairs:
+        values.setdefault(alg, []).append(v)
+    names = sorted(values)
+    return (
+        {alg: float(np.mean(values[alg])) for alg in names},
+        {alg: len(values[alg]) for alg in names},
+    )
+
+
 def run_scaling_study(
     sizes: Sequence[int],
     channel_counts: Sequence[int],
@@ -338,17 +360,14 @@ def run_scaling_study(
         _scaling_task, (k,), sizes, channel_counts, trials, seed, jobs,
         spec_overrides, k_values=(k,),
     )
+    by_cell = _by_cell(records)
     cells = []
     exponents = {}
     for w in channel_counts:
         log_sizes = []
         log_ratios = []
         for size in sizes:
-            rs = [
-                r.ratio
-                for r in records
-                if r.n_channels == w and r.n_nodes == size
-            ]
+            rs = [r.ratio for r in by_cell.get((w, size, k), [])]
             mean_ratio = float(np.mean(rs)) if rs else 0.0
             cells.append(
                 {
@@ -396,55 +415,35 @@ def run_gap_study(
         _oracle_task, ("whiterec", tuple(k_values), budget), sizes,
         channel_counts, trials, seed, jobs, spec_overrides, k_values=k_values,
     )
+    by_cell = _by_cell(records)
     cells = []
-    for w in channel_counts:
-        for size in sizes:
-            for k in k_values:
-                cell = [
-                    r for r in records
-                    if r.n_channels == w and r.n_nodes == size and r.k == k
-                ]
-                opt_by_id = {
-                    r.instance_id: r for r in cell if r.algorithm == "optimal"
-                }
-                solved = {
-                    i: r for i, r in opt_by_id.items()
-                    if r.proven_optimal and r.assignment is not None
-                    and r.capacity_hi > 0
-                }
-                exhausted = sum(
-                    1 for r in opt_by_id.values() if not r.proven_optimal
-                )
-                infeasible = sum(
-                    1 for r in opt_by_id.values()
-                    if r.proven_optimal and r.assignment is None
-                )
-                gaps: dict[str, list[float]] = {}
-                for r in cell:
-                    if r.algorithm == "optimal" or r.instance_id not in solved:
-                        continue
-                    opt_val = solved[r.instance_id].capacity_hi
-                    gaps.setdefault(r.algorithm, []).append(
-                        (r.capacity_hi - opt_val) / opt_val
-                    )
-                mean_gap = {
-                    alg: float(np.mean(vals))
-                    for alg, vals in sorted(gaps.items())
-                }
-                counts = {alg: len(vals) for alg, vals in sorted(gaps.items())}
-                cells.append(
-                    {
-                        "n_channels": w,
-                        "n_nodes": size,
-                        "k": k,
-                        "trials": len(opt_by_id),
-                        "solved": len(solved),
-                        "exhausted": exhausted,
-                        "infeasible": infeasible,
-                        "mean_gap": mean_gap,
-                        "gap_counts": counts,
-                    }
-                )
+    for w, size, k in product(channel_counts, sizes, k_values):
+        cell = by_cell.get((w, size, k), [])
+        opt = {r.instance_id: r for r in cell if r.algorithm == "optimal"}
+        solved = {
+            i: r.capacity_hi for i, r in opt.items()
+            if r.proven_optimal and r.assignment is not None and r.capacity_hi > 0
+        }
+        mean_gap, counts = _mean_and_count(
+            (r.algorithm, (r.capacity_hi - solved[r.instance_id]) / solved[r.instance_id])
+            for r in cell
+            if r.algorithm != "optimal" and r.instance_id in solved
+        )
+        cells.append(
+            {
+                "n_channels": w,
+                "n_nodes": size,
+                "k": k,
+                "trials": len(opt),
+                "solved": len(solved),
+                "exhausted": sum(not r.proven_optimal for r in opt.values()),
+                "infeasible": sum(
+                    r.proven_optimal and r.assignment is None for r in opt.values()
+                ),
+                "mean_gap": mean_gap,
+                "gap_counts": counts,
+            }
+        )
     summary = {
         "kind": "gap",
         "sizes": list(sizes),
@@ -473,41 +472,26 @@ def run_traffic_study(
         _oracle_task, ("feasi", (1,), budget), sizes, channel_counts, trials,
         seed, jobs, spec_overrides,
     )
+    by_cell = _by_cell(records)
     cells = []
-    for w in channel_counts:
-        for size in sizes:
-            cell = [
-                r for r in records if r.n_channels == w and r.n_nodes == size
-            ]
-            opt_by_id = {
-                r.instance_id: r for r in cell if r.algorithm == "optimal"
+    for w, size in product(channel_counts, sizes):
+        cell = by_cell.get((w, size, 1), [])
+        opt = {r.instance_id: r for r in cell if r.algorithm == "optimal"}
+        solved = {i for i, r in opt.items() if r.proven_optimal}
+        mean_sustained, counts = _mean_and_count(
+            (r.algorithm, min(r.beta, 1.0)) for r in cell if r.instance_id in solved
+        )
+        cells.append(
+            {
+                "n_channels": w,
+                "n_nodes": size,
+                "trials": len(opt),
+                "solved": len(solved),
+                "exhausted": len(opt) - len(solved),
+                "mean_sustained": mean_sustained,
+                "sustained_counts": counts,
             }
-            solved = {
-                i for i, r in opt_by_id.items() if r.proven_optimal
-            }
-            sustained: dict[str, list[float]] = {}
-            for r in cell:
-                if r.instance_id not in solved:
-                    continue
-                sustained.setdefault(r.algorithm, []).append(
-                    min(r.beta, 1.0)
-                )
-            mean_sustained = {
-                alg: float(np.mean(vals))
-                for alg, vals in sorted(sustained.items())
-            }
-            counts = {alg: len(vals) for alg, vals in sorted(sustained.items())}
-            cells.append(
-                {
-                    "n_channels": w,
-                    "n_nodes": size,
-                    "trials": len(opt_by_id),
-                    "solved": len(solved),
-                    "exhausted": len(opt_by_id) - len(solved),
-                    "mean_sustained": mean_sustained,
-                    "sustained_counts": counts,
-                }
-            )
+        )
     summary = {
         "kind": "traffic",
         "sizes": list(sizes),

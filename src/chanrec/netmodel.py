@@ -225,10 +225,9 @@ def parse_network(text: str | bytes) -> Network:
         for key in ("u", "v", "demand"):
             _require(key in rec, f"edges[{i}]: missing field '{key}'")
         for end in ("u", "v"):
-            _require(
-                rec[end] in node_index,
-                f"edges[{i}].{end}: unknown node '{rec[end]}'",
-            )
+            name = rec[end]
+            _require(isinstance(name, str), f"edges[{i}].{end}: expected a node name")
+            _require(name in node_index, f"edges[{i}].{end}: unknown node '{name}'")
         u, v = node_index[rec["u"]], node_index[rec["v"]]
         _require(u != v, f"edges[{i}]: self loop at '{rec['u']}'")
         edges.append((min(u, v), max(u, v)))
@@ -297,6 +296,7 @@ def parse_assignment(text: str | bytes, net: Network) -> ChannelAssignment:
             raise FormatError(f"assignment: non-integer edge key '{key}'") from None
         _require(0 <= e < net.n_edges, f"assignment: edge index {e} out of range")
         _require(channel_of[e] == -1, f"assignment: duplicate entry for edge {e}")
+        _require(isinstance(name, str), f"assignment[{e}]: expected a channel name")
         _require(name in channel_index, f"assignment[{e}]: unknown channel '{name}'")
         channel_of[e] = channel_index[name]
     for e, w in enumerate(channel_of):
@@ -320,10 +320,9 @@ def make_network(
     demands: Sequence[float],
     n_channels: int,
     capacity: float | Sequence[Sequence[float]] = 1.0,
-    node_prefix: str = "n",
-    channel_prefix: str = "w",
 ) -> Network:
-    """Convenience constructor with generated names and normalized edges."""
+    """Convenience constructor with normalized edges, nodes named ``n<i>``
+    and channels ``w<j>``."""
     norm = tuple((min(u, v), max(u, v)) for u, v in edges)
     if isinstance(capacity, (int, float)):
         cap = tuple(
@@ -332,8 +331,8 @@ def make_network(
     else:
         cap = tuple(tuple(float(c) for c in row) for row in capacity)
     return Network(
-        node_names=tuple(f"{node_prefix}{i}" for i in range(n_nodes)),
-        channel_names=tuple(f"{channel_prefix}{i}" for i in range(n_channels)),
+        node_names=tuple(f"n{i}" for i in range(n_nodes)),
+        channel_names=tuple(f"w{i}" for i in range(n_channels)),
         edges=norm,
         demands=tuple(float(r) for r in demands),
         capacity=cap,

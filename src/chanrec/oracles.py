@@ -19,8 +19,10 @@ channels in ascending order.  Capacity searches bound a partial assignment by
 its node term and a static floor: every node eventually spreads its demand
 over the channels, so its top-k channels carry at least k/|W| of its incident
 total.  Feasi bounds it by ``-z1``, the negated node margin, which only grows
-as edges are added.  Whiterec prunes as soon as a node constraint is
-violated; odd-set constraints are checked at leaves only.  All tie-breaks are
+as edges are added.  Whiterec is the capacity search with feasi's margin
+search as its constraint: the margin problem tracks the weighted node loads,
+the capacity search prunes as soon as a node constraint is violated, and
+odd-set constraints are checked at leaves only.  All tie-breaks are
 deterministic: the incumbent is seeded with the interference-free, greedy,
 and seed-0 random assignments (in that order), replayed through ``place`` in
 edge-index order, and only strictly better leaves replace it, so the result
@@ -95,21 +97,6 @@ def _odd_membership(net: Network) -> tuple[np.ndarray, np.ndarray]:
     return member, sizes
 
 
-def _oddset_margin(
-    a: np.ndarray, rho: np.ndarray, member: np.ndarray, limits: np.ndarray
-) -> float:
-    """Smallest odd-set scaling margin of assignment ``a`` over ``member``."""
-    if not len(member):
-        return math.inf
-    onehot = np.zeros(rho.shape)
-    idx = np.arange(len(a))
-    onehot[idx, a] = rho[idx, a]
-    loads = member @ onehot
-    with np.errstate(divide="ignore"):
-        margins = np.where(loads > 0.0, limits[:, None] / loads, math.inf)
-    return float(margins.min())
-
-
 def _node_margin(wload: float) -> float:
     return 1.0 / wload if wload > 0.0 else math.inf
 
@@ -137,99 +124,15 @@ class _Problem(NamedTuple):
     z1_min: float
 
 
-def _capacity(net: Network, k: int, constrained: bool) -> _Problem:
-    """Recovery capacity at level k; ``constrained`` adds whiterec's
-    feasibility constraints, tracked with weighted node loads."""
-    n, w = net.n_nodes, net.n_channels
-    k_eff = min(k, w)
-    cut = w - k_eff
-    edges, dem = net.edges, net.demands
-    floor = capacity_floor(net, k)
-    frac = k_eff / w
-    share = [
-        frac * sum(dem[e] for e in net.incident_edges(v)) for v in range(n)
-    ]
-    loads = [[0.0] * w for _ in range(n)]
-
-    # Odd sets whose best contribution cannot exceed the floor never raise
-    # max(m1, m2) above m1, so the leaf ignores them.
-    member, sizes = _odd_membership(net)
-    scale = 2.0 / (sizes - 1.0)
-    keep = scale * (member @ np.asarray(dem)) > floor * (1.0 + 1e-12)
-    member_cap, scale_cap = member[keep], scale[keep]
-
-    if constrained:
-        rho = _rho(net)
-        rho_of = rho.tolist()
-        wloads = [[0.0] * w for _ in range(n)]
-        # only odd sets that some channel choice could overload
-        limits = (sizes - 1.0) / 2.0
-        keep_f = member @ rho.max(axis=1) > limits / (1.0 - TOL)
-        member_feas, limits_feas = member[keep_f], limits[keep_f]
-
-    def place(e, ww, state, best):
-        lb, z1 = state
-        u, v = edges[e]
-        lu, lv = loads[u], loads[v]
-        r = dem[e]
-        lu[ww] += r
-        lv[ww] += r
-        nb = max(
-            lb,
-            max(sum(sorted(lu)[cut:]), share[u]),
-            max(sum(sorted(lv)[cut:]), share[v]),
-        )
-        if nb >= best:
-            lu[ww] -= r
-            lv[ww] -= r
-            return None
-        if constrained:
-            wu, wv = wloads[u], wloads[v]
-            p = rho_of[e][ww]
-            wu[ww] += p
-            wv[ww] += p
-            z1 = min(z1, _node_margin(wu[ww]), _node_margin(wv[ww]))
-        return nb, z1
-
-    def unplace(e, ww):
-        u, v = edges[e]
-        if constrained:
-            p = rho_of[e][ww]
-            wloads[u][ww] -= p
-            wloads[v][ww] -= p
-        r = dem[e]
-        loads[u][ww] -= r
-        loads[v][ww] -= r
-
-    def leaf(a, state):
-        if constrained:
-            z2 = _oddset_margin(a, rho, member_feas, limits_feas)
-            if min(state[1], z2) < 1.0 - TOL:
-                return math.inf
-        m1 = max(sum(sorted(lv)[cut:]) for lv in loads)
-        if not len(member_cap):
-            return max(m1, 0.0)
-        onehot = np.zeros((len(a), w))
-        onehot[np.arange(len(a)), a] = dem
-        oddset = member_cap @ onehot
-        if cut:
-            oddset = np.sort(oddset, axis=1)[:, cut:]
-        return max(m1, float((scale_cap * oddset.sum(axis=1)).max()))
-
-    z1_min = 1.0 - TOL if constrained else -math.inf
-    return _Problem(place, unplace, leaf, floor, z1_min)
-
-
-def _margin(net: Network) -> _Problem:
-    """Feasibility margin, as the leaf value ``-beta``."""
+def _margin(net: Network, member: np.ndarray, limits: np.ndarray) -> _Problem:
+    """Feasibility margin, as the leaf value ``-beta``, over the odd sets
+    ``member`` (rows of :func:`_odd_membership`) with their ``limits``."""
     n, w = net.n_nodes, net.n_channels
     edges = net.edges
     rho = _rho(net)
     rho_of = rho.tolist()
     wloads = [[0.0] * w for _ in range(n)]
-    member, sizes = _odd_membership(net)
-    keep = member @ np.asarray(net.demands) > 0.0
-    member, limits = member[keep], ((sizes - 1.0) / 2.0)[keep]
+    idx = np.arange(net.n_edges)
 
     def place(e, ww, state, best):
         u, v = edges[e]
@@ -251,9 +154,89 @@ def _margin(net: Network) -> _Problem:
         wloads[v][ww] -= p
 
     def leaf(a, state):
-        return -min(state[1], _oddset_margin(a, rho, member, limits))
+        if not len(member):
+            return -state[1]
+        onehot = np.zeros(rho.shape)
+        onehot[idx, a] = rho[idx, a]
+        loads = member @ onehot
+        with np.errstate(divide="ignore"):
+            margins = np.where(loads > 0.0, limits[:, None] / loads, math.inf)
+        return -min(state[1], float(margins.min()))
 
     return _Problem(place, unplace, leaf, -math.inf, -math.inf)
+
+
+def _capacity(
+    net: Network,
+    k: int,
+    member: np.ndarray,
+    sizes: np.ndarray,
+    feasible: _Problem | None,
+) -> _Problem:
+    """Recovery capacity at level k over the odd sets ``member`` of sizes
+    ``sizes``.  With a ``feasible`` margin problem (whiterec) a child's
+    ``z1`` comes from its ``place`` and a leaf qualifies only if its margin
+    ``beta`` is at least ``1 - TOL``."""
+    n, w = net.n_nodes, net.n_channels
+    k_eff = min(k, w)
+    cut = w - k_eff
+    edges, dem = net.edges, net.demands
+    floor = capacity_floor(net, k)
+    frac = k_eff / w
+    share = [
+        frac * sum(dem[e] for e in net.incident_edges(v)) for v in range(n)
+    ]
+    loads = [[0.0] * w for _ in range(n)]
+
+    # Odd sets whose best contribution cannot exceed the floor never raise
+    # max(m1, m2) above m1, so the leaf ignores them.
+    scale = 2.0 / (sizes - 1.0)
+    keep = scale * (member @ np.asarray(dem)) > floor * (1.0 + 1e-12)
+    member_cap, scale_cap = member[keep], scale[keep]
+
+    def place(e, ww, state, best):
+        lb, z1 = state
+        u, v = edges[e]
+        lu, lv = loads[u], loads[v]
+        r = dem[e]
+        lu[ww] += r
+        lv[ww] += r
+        nb = max(
+            lb,
+            max(sum(sorted(lu)[cut:]), share[u]),
+            max(sum(sorted(lv)[cut:]), share[v]),
+        )
+        if nb >= best:
+            lu[ww] -= r
+            lv[ww] -= r
+            return None
+        if feasible is not None:
+            z1 = feasible.place(e, ww, state, math.inf)[1]
+        return nb, z1
+
+    def unplace(e, ww):
+        if feasible is not None:
+            feasible.unplace(e, ww)
+        u, v = edges[e]
+        r = dem[e]
+        loads[u][ww] -= r
+        loads[v][ww] -= r
+
+    def leaf(a, state):
+        if feasible is not None and -feasible.leaf(a, state) < 1.0 - TOL:
+            return math.inf
+        m1 = max(sum(sorted(lv)[cut:]) for lv in loads)
+        if not len(member_cap):
+            return max(m1, 0.0)
+        onehot = np.zeros((len(a), w))
+        onehot[np.arange(len(a)), a] = dem
+        oddset = member_cap @ onehot
+        if cut:
+            oddset = np.sort(oddset, axis=1)[:, cut:]
+        return max(m1, float((scale_cap * oddset.sum(axis=1)).max()))
+
+    z1_min = -math.inf if feasible is None else 1.0 - TOL
+    return _Problem(place, unplace, leaf, floor, z1_min)
 
 
 # -- search ---------------------------------------------------------------
@@ -278,37 +261,35 @@ def _search(
     best_assignment: tuple[int, ...] | None = None
     explored = 0
     out_of_budget = False
+    done = False  # the incumbent reached the floor: nothing can beat it
+
+    def visit(y: np.ndarray, state: tuple[float, float]) -> None:
+        nonlocal best, best_assignment, explored, out_of_budget, done
+        if explored >= limit:
+            out_of_budget = True
+            return
+        explored += 1
+        val = leaf(y, state)
+        if val < best:
+            best, best_assignment = val, tuple(y.tolist())
+            done = best <= floor
 
     # Seed the incumbent.  Demands have a finite total, so no bound reaches
     # inf and every replayed edge is placed.
     for cand in (ifa_assign(net), greedy_assign(net), random_assign(net, 0)):
-        if explored >= limit:
-            out_of_budget = True
-            break
         y = cand.channel_of
         state = root
         for e in range(m):
             state = place(e, y[e], state, math.inf)
-        explored += 1
-        if state[1] >= z1_min:
-            val = leaf(np.asarray(y, dtype=np.int64), state)
-            if val < best:
-                best, best_assignment = val, tuple(y)
+        visit(np.asarray(y, dtype=np.int64), state)
         for e in range(m):
             unplace(e, y[e])
-    done = best <= floor  # nothing can beat the floor
+        if out_of_budget:
+            break
 
     def dfs(pos: int, state: tuple[float, float]) -> None:
-        nonlocal best, best_assignment, explored, out_of_budget, done
         if pos == m:
-            if explored >= limit:
-                out_of_budget = True
-                return
-            explored += 1
-            val = leaf(a, state)
-            if val < best:
-                best, best_assignment = val, tuple(a.tolist())
-                done = best <= floor
+            visit(a, state)
             return
         e = order[pos]
         for ww in range(w):
@@ -341,7 +322,16 @@ def _solve(name: str, net: Network, k: int, limit: int) -> OracleResult:
         return OracleResult(
             name, math.inf if feasi else 0.0, ChannelAssignment(()), 1, True
         )
-    problem = _margin(net) if feasi else _capacity(net, k, name == "whiterec")
+    member, sizes = _odd_membership(net)
+    margin = None
+    if name != "whiterecinf":
+        limits = (sizes - 1.0) / 2.0
+        if feasi:  # the odd sets with an induced edge
+            keep = member @ np.asarray(net.demands) > 0.0
+        else:  # the odd sets that some channel choice could overload
+            keep = member @ _rho(net).max(axis=1) > limits / (1.0 - TOL)
+        margin = _margin(net, member[keep], limits[keep])
+    problem = margin if feasi else _capacity(net, k, member, sizes, margin)
     best, y, explored, proven = _search(net, problem, limit)
     return OracleResult(
         name,

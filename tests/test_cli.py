@@ -145,6 +145,23 @@ def test_non_finite_and_overflowing_numbers_exit_2(
     assert captured.err.startswith("error: ") and msg in captured.err
 
 
+def test_non_string_names_exit_2_without_traceback(tmp_path, k3_file):
+    # a JSON array where a node or channel name belongs
+    doc = json.loads(open(k3_file).read())
+    doc["edges"][0]["u"] = ["n0"]
+    bad_net = tmp_path / "net.json"
+    bad_net.write_text(json.dumps(doc))
+    bad_y = tmp_path / "y.json"
+    bad_y.write_text(json.dumps({"assignment": {"0": ["w0"], "1": "w0", "2": "w0"}}))
+    for argv, msg in (
+        (["assign", "--net", str(bad_net), "--alg", "greedy"], "expected a node name"),
+        (["eval", "--net", k3_file, "--assignment", str(bad_y)], "expected a channel name"),
+    ):
+        rc, out, err = run_cli(argv)
+        assert (rc, out) == (2, ""), err
+        assert "Traceback" not in err and msg in err
+
+
 def test_oddset_cap_over_limit_rejected_before_allocation(tmp_path, capsys, monkeypatch):
     def eval_args(n_nodes):
         net = make_network(n_nodes, [(0, 1), (1, 2)], [1.0, 2.0], 1)

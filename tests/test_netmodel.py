@@ -143,6 +143,9 @@ def test_scalar_capacity_shorthand():
         (lambda d: d.update(capacity=[[1.0, 1.0]]), "one row per channel"),
         (lambda d: d.update(capacity=[[1.0], [1.0]]), "expected 2 entries"),
         (lambda d: d.update(capacity=True), "number or a matrix"),
+        # names that are not strings must not reach a dict lookup
+        (lambda d: d["edges"][0].update(u=["a"]), "u: expected a node name"),
+        (lambda d: d["edges"][1].update(v={"c": 1}), "v: expected a node name"),
     ],
 )
 def test_network_parse_errors(mutate, msg):
@@ -184,6 +187,8 @@ def test_assignment_round_trip():
         ({"assignment": {"0": "w0", "1": "w9", "2": "w0"}}, "unknown channel"),
         ({"assignment": {"x": "w0"}}, "non-integer edge key"),
         ({"wrong": {}}, "missing field 'assignment'"),
+        ({"assignment": {"0": ["w0"], "1": "w0", "2": "w0"}}, "expected a channel name"),
+        ({"assignment": {"0": "w0", "1": {"w": 0}, "2": "w0"}}, "expected a channel name"),
     ],
 )
 def test_assignment_parse_errors(doc, msg):

@@ -16,6 +16,7 @@ from brute import (
     is_bipartite,
     items_pack,
 )
+from chanrec import oracles
 from chanrec.experiments import InstanceSpec, generate_instance
 from chanrec.metrics import ODDSET_EXACT_CAP, TOL, recovery_capacity
 from chanrec.netmodel import make_network
@@ -247,3 +248,29 @@ def test_edgeless_instances():
     assert res.best_assignment is not None and len(res.best_assignment) == 0
     feas = solve_feasi_exact(net)
     assert math.isinf(feas.objective) and feas.proven_optimal
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda net: solve_whiterec_exact(net, 1),
+        lambda net: solve_whiterecinf_exact(net, 1),
+        solve_feasi_exact,
+    ],
+    ids=["whiterec", "whiterecinf", "feasi"],
+)
+def test_each_solve_builds_the_odd_set_table_once(solve, monkeypatch):
+    # whiterec's capacity and margin problems share one (odd set, edge)
+    # table; a second copy costs tens of MiB at 18 nodes
+    calls = []
+    build = oracles._odd_membership
+
+    def counted(net):
+        calls.append(net)
+        return build(net)
+
+    monkeypatch.setattr(oracles, "_odd_membership", counted)
+    net = generate_instance(InstanceSpec(7, 2), 11)
+    assert net.n_edges > 0
+    assert solve(net).proven_optimal
+    assert len(calls) == 1

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -35,6 +36,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 MACHINE_KEYS = ("nproc", "cpu", "python", "numpy", "blas", "thread_env")
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+SUMMARY = re.compile(r" in \d+(\.\d+)?s( \(\d+:\d\d:\d\d\))?$")
 
 
 def _seeds(text: str) -> list[int]:
@@ -78,12 +80,15 @@ def _tier1() -> dict:
         [sys.executable, *TIER1], cwd=ROOT, env=env, capture_output=True, text=True
     )
     wall = time.perf_counter() - t0
-    summary = [line for line in proc.stdout.splitlines() if " in " in line and "passed" in line]
+    # pytest's final line, e.g. "165 passed, 1 skipped in 317.00s (0:05:17)"
+    # or "1 failed in 0.49s", whatever the outcome
+    lines = [line.strip("= ") for line in proc.stdout.splitlines()]
+    summary = [line for line in lines if SUMMARY.search(line)]
     return {
         "command": "PYTHONPATH=src python " + " ".join(TIER1),
         "wall_s": round(wall, 1),
         "exit_code": proc.returncode,
-        "summary": summary[-1].strip("= ") if summary else None,
+        "summary": summary[-1] if summary else None,
     }
 
 
