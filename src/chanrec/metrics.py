@@ -22,8 +22,8 @@ is feasible as given.
 Both objectives read the same load tables: per node and channel
 (``_node_loads``), per odd set and channel (``_oddset_loads``) and, in
 bracket mode, per 3-node set and channel (``_triple_loads``), weighted by
-demand for the capacity and by ``rho = demand / capacity`` (``_rho``) for the
-margin.
+demand (``Network.demand_array``) for the capacity and by ``rho = demand /
+capacity`` (``Network.rho``) for the margin.
 
 ``mode`` selects how the odd-set term is evaluated.  ``"exact"`` enumerates
 all odd subsets: per channel, the induced loads of all 2^n node subsets are
@@ -110,19 +110,14 @@ def _resolve_mode(net: Network, mode: str) -> str:
     return mode
 
 
-def _rho(net: Network) -> np.ndarray:
-    """rho[e, w]: demand of edge e as a fraction of its capacity on w."""
-    return np.asarray(net.demands)[:, None] / np.asarray(net.capacity).T
-
-
 def _node_loads(
     net: Network, y: ChannelAssignment, weights: Sequence[float] | np.ndarray
 ) -> np.ndarray:
     """loads[v, w]: weight of the edges at node v on channel w, in edge order
     (``bincount`` adds the cells (u0, w0), (v0, w0), (u1, w1), ... in turn)."""
     n, n_w = net.n_nodes, net.n_channels
-    ends = np.asarray(net.edges, dtype=np.intp).reshape(-1, 2)
-    cells = (ends * n_w + np.asarray(y.channel_of, dtype=np.intp)[:, None]).ravel()
+    channel = np.asarray(y.channel_of, dtype=np.intp)
+    cells = (net.edge_array * n_w + channel[:, None]).ravel()
     return np.bincount(cells, np.repeat(weights, 2), n * n_w).reshape(n, n_w)
 
 
@@ -135,7 +130,7 @@ def channel_load_at_node(
         raise ValueError(f"node index {node} out of range")
     if not 0 <= channel < net.n_channels:
         raise ValueError(f"channel index {channel} out of range")
-    return float(_node_loads(net, y, net.demands)[node, channel])
+    return float(_node_loads(net, y, net.demand_array)[node, channel])
 
 
 @lru_cache(maxsize=8)
@@ -222,7 +217,7 @@ def _triple_loads(
     O(sum of squared degrees) plus an n x n edge-id table.
     """
     n, m = net.n_nodes, net.n_edges
-    ends = np.asarray(net.edges, dtype=np.int64)
+    ends = net.edge_array
     # the 2m (node, other end, edge) incidences, sorted by node, then edge
     node, other = ends.T.ravel(), ends[:, ::-1].T.ravel()
     edge = np.tile(np.arange(m), 2)
@@ -288,7 +283,7 @@ def _max_node_load(
     if net.n_edges == 0:
         return 0.0, None
     k_eff = min(k, net.n_channels)
-    loads = _node_loads(net, y, net.demands)
+    loads = _node_loads(net, y, net.demand_array)
     per_node = _topk_sum(loads, k_eff)
     node = int(per_node.argmax())
     best = float(per_node[node])
@@ -313,7 +308,7 @@ def max_odd_set_load_exact(
     if net.n_edges == 0 or net.n_nodes < 3:
         return 0.0, None
     k_eff = min(k, net.n_channels)
-    masks, sizes, loads = _oddset_loads(net, y, np.asarray(net.demands))
+    masks, sizes, loads = _oddset_loads(net, y, net.demand_array)
     values = _topk_sum(loads, k_eff) * (2.0 / (sizes - 1))
     best = values.max()
     nodes, _, row = _first_odd_set(masks, (values == best)[:, None])
@@ -343,7 +338,7 @@ def _odd_set_bracket(
     if net.n_edges == 0 or net.n_nodes < 3:
         # no odd sets at all, so the odd-set term is exactly zero
         return 0.0, 0.0
-    demands = np.asarray(net.demands)
+    demands = net.demand_array
     triples = _topk_sum(_triple_loads(net, y, demands), min(k, net.n_channels))
     lo = float(np.max(triples, initial=demands.max()))
     factor = 1.25 if is_proper_labeling(net, y.channel_of) else 1.5
@@ -514,7 +509,7 @@ def feasibility_ratio(
     """Compute the feasibility margins of assignment y."""
     check_assignment(net, y)
     mode = _resolve_mode(net, mode)
-    rho = _rho(net)[np.arange(net.n_edges), y.channel_of]
+    rho = net.rho[np.arange(net.n_edges), y.channel_of]
 
     # Node margin: smallest slack 1/load over node-channel pairs, the first
     # in row-major order on ties; an unloaded pair has slack inf.
@@ -582,8 +577,5 @@ def capacity_floor(net: Network, k: int) -> float:
     if net.n_edges == 0:
         return 0.0
     frac = min(k, net.n_channels) / net.n_channels
-    busiest = max(
-        sum(net.demands[e] for e in net.incident_edges(v))
-        for v in range(net.n_nodes)
-    )
-    return max(max(net.demands), frac * busiest)
+    busiest = float(net.node_demand.max())
+    return max(float(net.demand_array.max()), frac * busiest)

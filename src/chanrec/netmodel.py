@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 class FormatError(ValueError):
@@ -23,6 +26,17 @@ class FormatError(ValueError):
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise FormatError(msg)
+
+
+def _array(values: Sequence, shape: tuple, kinds: str, dtype: type) -> np.ndarray | None:
+    """``values`` cast to ``dtype``, or None unless they form an array of
+    ``shape`` whose dtype kind is in ``kinds``."""
+    try:
+        # np.array(()) would be a float array of shape (0,)
+        a = np.array(values) if len(values) else np.zeros((0, *shape[1:]), np.intp)
+    except ValueError:  # ragged
+        return None
+    return a.astype(dtype) if a.shape == shape and a.dtype.kind in kinds else None
 
 
 def _not_positive_finite(x: float, where: str, name: str) -> FormatError:
@@ -37,8 +51,16 @@ class Network:
     Fields use dense indices: node u is ``node_names[u]``, channel w is
     ``channel_names[w]``, edge e is ``edges[e]`` with demand ``demands[e]``
     and per-channel capacity ``capacity[w][e]``.  Edges are stored with
-    ``u < v`` and no duplicates; demands and capacities are positive and
-    finite, and so is the total demand, so no load sum overflows.
+    integer ends ``u < v`` and no duplicates; demands and capacities are
+    positive and finite, and so is the total demand, so no load sum
+    overflows.  The fields are the network's value (equality, hashing, JSON).
+
+    Their array form is built once, when the network is made, validated, and
+    read-only: ``edge_array`` (m, 2) intp, ``demand_array`` (m,),
+    ``capacity_array`` (|W|, m), ``rho`` (m, |W|) with ``rho[e, w] =
+    demands[e] / capacity[w][e]``, and ``node_demand`` (n,), each node's
+    incident demand added in edge order.  ``total_demand`` is
+    ``sum(demands)``, added left to right.
     """
 
     node_names: tuple[str, ...]
@@ -52,8 +74,46 @@ class Network:
         _require(w >= 1, "channels: at least one channel required")
         _require(len(set(self.node_names)) == n, "nodes: duplicate node name")
         _require(len(set(self.channel_names)) == w, "channels: duplicate channel name")
+        ends = _array(self.edges, (m, 2), "biu", np.intp)
+        demand = _array(self.demands, (m,), "biuf", np.float64)
+        cap = _array(self.capacity, (w, m), "biuf", np.float64)
+        ok = ends is not None and demand is not None and cap is not None
+        if ok:
+            u, v = ends.T
+            key = np.sort(u * n + v)  # unique iff no edge repeats, given u < v < n
+            ok = bool(
+                (0 <= u).all() and (u < v).all() and (v < n).all()
+                and (key[1:] > key[:-1]).all()
+                and ((demand > 0.0) & (demand < math.inf)).all()
+                and ((cap > 0.0) & (cap < math.inf)).all()
+            )
+        total = sum(self.demands) if ok else math.inf
+        if not total < math.inf:
+            self._raise_first_fault()
+        # in edge order; astype, as bincount returns ints when there is no edge
+        node_demand = np.bincount(ends.ravel(), np.repeat(demand, 2), n).astype(float)
+        arrays = {
+            "edge_array": ends,
+            "demand_array": demand,
+            "capacity_array": cap,
+            "rho": demand[:, None] / cap.T,
+            "node_demand": node_demand,
+        }
+        for name, a in arrays.items():
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "total_demand", float(total))
+
+    def _raise_first_fault(self) -> None:
+        """Raise for the first bad edge, demand or capacity, checked one entry
+        at a time in field order: the error path of the array checks."""
+        n, m, w = self.n_nodes, self.n_edges, self.n_channels
         seen = set()
         for i, (u, v) in enumerate(self.edges):
+            _require(
+                isinstance(u, numbers.Integral) and isinstance(v, numbers.Integral),
+                f"edges[{i}]: non-integer endpoint",
+            )
             _require(0 <= u < n and 0 <= v < n, f"edges[{i}]: endpoint out of range")
             _require(u < v, f"edges[{i}]: self loop or unnormalized endpoints")
             _require((u, v) not in seen, f"edges[{i}]: duplicate edge")
@@ -71,6 +131,9 @@ class Network:
             for i, c in enumerate(row):
                 if not 0.0 < c < math.inf:
                     raise _not_positive_finite(c, f"capacity[{wi}][{i}]", "capacity")
+        # entries that pass one by one but form no numeric array, such as an
+        # int beyond float range
+        raise FormatError("network: entries do not form numeric arrays")
 
     # -- basic sizes ------------------------------------------------------
 
@@ -120,16 +183,10 @@ class Network:
         return max(len(es) for es in self._incidence)
 
     @property
-    def total_demand(self) -> float:
-        return float(sum(self.demands))
-
-    @property
     def homogeneous(self) -> bool:
         """True iff every (channel, link) capacity is the same value."""
-        if self.n_edges == 0 or self.n_channels == 0:
-            return True
-        first = self.capacity[0][0]
-        return all(c == first for row in self.capacity for c in row)
+        cap = self.capacity_array
+        return cap.size == 0 or bool((cap == cap.flat[0]).all())
 
 
 @dataclass(frozen=True)
@@ -293,7 +350,9 @@ def parse_assignment(text: str | bytes, net: Network) -> ChannelAssignment:
         try:
             e = int(key)
         except ValueError:
-            raise FormatError(f"assignment: non-integer edge key '{key}'") from None
+            e = -1  # "-1" itself parses, so the key is refused below
+        # int() also takes spaces, a '+', leading zeros and underscores
+        _require(key == str(e), f"assignment: non-integer edge key '{key}'")
         _require(0 <= e < net.n_edges, f"assignment: edge index {e} out of range")
         _require(channel_of[e] == -1, f"assignment: duplicate entry for edge {e}")
         _require(isinstance(name, str), f"assignment[{e}]: expected a channel name")

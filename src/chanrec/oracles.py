@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .assign import greedy_assign, ifa_assign, random_assign
-from .metrics import ODDSET_EXACT_CAP, TOL, _odd_masks, _rho, capacity_floor
+from .metrics import ODDSET_EXACT_CAP, TOL, _odd_masks, capacity_floor
 from .netmodel import ChannelAssignment, Network
 
 DEFAULT_LEAF_BUDGET = 10_000_000
@@ -128,8 +128,7 @@ def _margin(net: Network, member: np.ndarray, limits: np.ndarray) -> _Problem:
     """Feasibility margin, as the leaf value ``-beta``, over the odd sets
     ``member`` (rows of :func:`_odd_membership`) with their ``limits``."""
     n, w = net.n_nodes, net.n_channels
-    edges = net.edges
-    rho = _rho(net)
+    edges, rho = net.edges, net.rho
     rho_of = rho.tolist()
     wloads = [[0.0] * w for _ in range(n)]
     idx = np.arange(net.n_edges)
@@ -182,16 +181,13 @@ def _capacity(
     cut = w - k_eff
     edges, dem = net.edges, net.demands
     floor = capacity_floor(net, k)
-    frac = k_eff / w
-    share = [
-        frac * sum(dem[e] for e in net.incident_edges(v)) for v in range(n)
-    ]
+    share = (k_eff / w * net.node_demand).tolist()
     loads = [[0.0] * w for _ in range(n)]
 
     # Odd sets whose best contribution cannot exceed the floor never raise
     # max(m1, m2) above m1, so the leaf ignores them.
     scale = 2.0 / (sizes - 1.0)
-    keep = scale * (member @ np.asarray(dem)) > floor * (1.0 + 1e-12)
+    keep = scale * (member @ net.demand_array) > floor * (1.0 + 1e-12)
     member_cap, scale_cap = member[keep], scale[keep]
 
     def place(e, ww, state, best):
@@ -229,7 +225,7 @@ def _capacity(
         if not len(member_cap):
             return max(m1, 0.0)
         onehot = np.zeros((len(a), w))
-        onehot[np.arange(len(a)), a] = dem
+        onehot[np.arange(len(a)), a] = net.demand_array
         oddset = member_cap @ onehot
         if cut:
             oddset = np.sort(oddset, axis=1)[:, cut:]
@@ -327,9 +323,9 @@ def _solve(name: str, net: Network, k: int, limit: int) -> OracleResult:
     if name != "whiterecinf":
         limits = (sizes - 1.0) / 2.0
         if feasi:  # the odd sets with an induced edge
-            keep = member @ np.asarray(net.demands) > 0.0
+            keep = member @ net.demand_array > 0.0
         else:  # the odd sets that some channel choice could overload
-            keep = member @ _rho(net).max(axis=1) > limits / (1.0 - TOL)
+            keep = member @ net.rho.max(axis=1) > limits / (1.0 - TOL)
         margin = _margin(net, member[keep], limits[keep])
     problem = margin if feasi else _capacity(net, k, member, sizes, margin)
     best, y, explored, proven = _search(net, problem, limit)

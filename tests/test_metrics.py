@@ -376,7 +376,7 @@ def test_oddset_loads_match_direct_per_subset_sums_bitwise():
             ):
                 for weights in (
                     np.asarray(net.demands),
-                    metrics._rho(net)[np.arange(net.n_edges), y.channel_of],
+                    net.rho[np.arange(net.n_edges), y.channel_of],
                 ):
                     masks, sizes, loads = metrics._oddset_loads(net, y, weights)
                     want_masks, want = _direct_oddset_loads(net, y, weights)
@@ -431,7 +431,7 @@ def test_bracket_reads_exact_three_node_loads_bitwise():
     # m2_lo and z2_hi are the exact odd-set values over 3-node sets, summed
     # as the lattice sums them, so they bound the exact m2 and z2 bit for bit
     for net, y in _seeded_bracket_cases():
-        rho = metrics._rho(net)[np.arange(net.n_edges), y.channel_of]
+        rho = net.rho[np.arange(net.n_edges), y.channel_of]
         demands = np.asarray(net.demands)
         for weights in (demands, rho):
             _assert_same_rows_bitwise(
@@ -485,7 +485,7 @@ def test_triple_loads_structural_cases():
     pairs = [(u, v) for u in range(5) for v in range(u + 1, 5)]
     k5 = make_network(5, pairs, [0.1 * (e + 1) for e in range(10)], 3)
     y = random_assign(k5, 5)
-    rho = metrics._rho(k5)[np.arange(10), y.channel_of]
+    rho = k5.rho[np.arange(10), y.channel_of]
     for weights in (np.asarray(k5.demands), rho):
         table = metrics._triple_loads(k5, y, weights)
         assert len(table) == 10

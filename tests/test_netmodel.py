@@ -3,8 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from chanrec.experiments import InstanceSpec, generate_instance
 from chanrec.netmodel import (
     ChannelAssignment,
     FormatError,
@@ -51,6 +53,13 @@ def test_network_rejects_bad_input():
         make_network(3, [(0, 1), (1, 0)], [1.0, 1.0], 1)
     with pytest.raises(FormatError, match="out of range"):
         make_network(2, [(0, 5)], [1.0], 1)
+    with pytest.raises(FormatError, match=r"^edges\[0\]: non-integer endpoint$"):
+        make_network(4, [(0.5, 2), (1, 3)], [1.0, 2.0], 2)
+    # two faults: the message names the first edge, not the first check
+    with pytest.raises(
+        FormatError, match=r"^edges\[0\]: self loop or unnormalized endpoints$"
+    ):
+        Network(("a", "b", "c"), ("w",), ((1, 0), (0, 5)), (1.0, 1.0), ((1.0, 1.0),))
     with pytest.raises(FormatError, match="nonpositive demand"):
         make_network(2, [(0, 1)], [0.0], 1)
     with pytest.raises(FormatError, match="nonpositive capacity"):
@@ -61,6 +70,12 @@ def test_network_rejects_bad_input():
         Network(("a", "b"), ("w",), ((0, 1),), (), ((1.0,),))
     with pytest.raises(FormatError, match="one row per channel"):
         Network(("a", "b"), ("w", "x"), ((0, 1),), (1.0,), ((1.0,),))
+    with pytest.raises(FormatError, match="one row per channel"):
+        Network(("a",), ("w",), (), (), ())
+    with pytest.raises(FormatError, match=r"^capacity\[1\]: one entry per edge required$"):
+        Network(("a", "b"), ("w", "x"), ((0, 1),), (1.0,), ((1.0,), (1.0, 2.0)))
+    with pytest.raises(FormatError, match=r"^capacity\[0\]\[0\]: nonpositive capacity$"):
+        Network(("a", "b"), ("w", "x"), ((0, 1),), (1.0,), ((-1.0,), (1.0, 2.0)))
     with pytest.raises(FormatError, match="duplicate node name"):
         Network(("a", "a"), ("w",), (), (), ((),))
 
@@ -73,6 +88,47 @@ def test_network_rejects_non_finite_numbers():
             make_network(2, [(0, 1)], [1.0], 1, capacity=bad)
     with pytest.raises(FormatError, match="total demand overflows"):
         make_network(3, [(0, 1), (1, 2)], [1e308, 1e308], 1)
+
+
+def array_networks():
+    """Seeded generator networks up to n = 220, and an edgeless one."""
+    specs = [(6, 3, 1), (8, 2, 2), (20, 3, 3), (50, 5, 4), (220, 3, 5), (220, 5, 6)]
+    nets = [generate_instance(InstanceSpec(n, w), seed) for n, w, seed in specs]
+    return nets + [make_network(3, [], [], 2)]
+
+
+def test_network_arrays_match_tuple_fields_bitwise():
+    for net in array_networks():
+        assert net.edge_array.dtype == np.intp
+        for a in (net.demand_array, net.capacity_array, net.rho, net.node_demand):
+            assert a.dtype == np.float64
+        assert net.edge_array.shape == (net.n_edges, 2)
+        assert net.edge_array.tolist() == [list(e) for e in net.edges]
+        assert net.demand_array.tolist() == list(net.demands)
+        assert net.capacity_array.shape == (net.n_channels, net.n_edges)
+        assert net.capacity_array.tolist() == [list(row) for row in net.capacity]
+        assert net.rho.shape == (net.n_edges, net.n_channels)
+        assert net.rho.tolist() == [
+            [r / row[e] for row in net.capacity] for e, r in enumerate(net.demands)
+        ]
+        assert net.node_demand.tolist() == [
+            sum(net.demands[e] for e in net.incident_edges(v))
+            for v in range(net.n_nodes)
+        ]
+        assert net.total_demand == sum(net.demands)
+
+
+def test_network_arrays_are_read_only():
+    for net in array_networks():
+        for a in (
+            net.edge_array,
+            net.demand_array,
+            net.capacity_array,
+            net.rho,
+            net.node_demand,
+        ):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
 
 
 def test_homogeneous_flag():
@@ -189,6 +245,10 @@ def test_assignment_round_trip():
         ({"wrong": {}}, "missing field 'assignment'"),
         ({"assignment": {"0": ["w0"], "1": "w0", "2": "w0"}}, "expected a channel name"),
         ({"assignment": {"0": "w0", "1": {"w": 0}, "2": "w0"}}, "expected a channel name"),
+        # int() takes these, as edges 10, 1 and 1
+        ({"assignment": {" 1_0 ": "w0"}}, "non-integer edge key"),
+        ({"assignment": {"+1": "w0"}}, "non-integer edge key"),
+        ({"assignment": {"01": "w0"}}, "non-integer edge key"),
     ],
 )
 def test_assignment_parse_errors(doc, msg):

@@ -40,8 +40,12 @@ SUMMARY = re.compile(r" in \d+(\.\d+)?s( \(\d+:\d\d:\d\d\))?$")
 
 
 def _seeds(text: str) -> list[int]:
+    """``"A-B"`` or ``"A"`` as the seeds A..B; an empty range is refused."""
     lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+    seeds = list(range(int(lo), int(hi or lo) + 1))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range '{text}'")
+    return seeds
 
 
 def _end_to_end(seeds: list[int]) -> dict:
