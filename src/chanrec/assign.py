@@ -43,109 +43,89 @@ def serialize_edge_coloring(coloring: EdgeColoring) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-class _Palette:
-    """Mutable coloring state: edge colors plus per-node color->neighbor maps."""
-
-    def __init__(self, net: Network):
-        self.net = net
-        self.n_colors = net.max_degree + 1
-        self.ecolor = [-1] * net.n_edges
-        self.at = [dict() for _ in range(net.n_nodes)]  # color -> neighbor
-        self.eid = {uv: e for e, uv in enumerate(net.edges)}
-
-    def edge(self, u: int, v: int) -> int:
-        return self.eid[(u, v) if u < v else (v, u)]
-
-    def free(self, v: int, c: int) -> bool:
-        return c not in self.at[v]
-
-    def first_free(self, v: int) -> int:
-        for c in range(self.n_colors):
-            if c not in self.at[v]:
-                return c
-        raise AssertionError("palette exhausted")
-
-    def set_color(self, u: int, v: int, c: int) -> None:
-        self.at[u][c] = v
-        self.at[v][c] = u
-        self.ecolor[self.edge(u, v)] = c
-
-    def unset_color(self, u: int, v: int) -> None:
-        c = self.ecolor[self.edge(u, v)]
-        del self.at[u][c]
-        del self.at[v][c]
-        self.ecolor[self.edge(u, v)] = -1
-
-
 def edge_color(net: Network) -> EdgeColoring:
     """Proper edge coloring with at most ``max_degree + 1`` colors.
 
-    Fan-rotation algorithm: for each uncolored edge (u, v) build a maximal
+    Misra-Gries fan rotation: for each uncolored edge (u, v) build a maximal
     fan of u starting at v (successive fan edges colored with a color free at
     the previous fan vertex), flip the maximal alternating path through u in
     the two candidate colors if needed, then rotate a fan prefix and finish
     the last fan edge with the color freed at both ends.  Deterministic:
     edges in index order, smallest free color, smallest-index fan extension.
+
+    State per node v: ``at[v][c]`` is the neighbor joined to v by the edge of
+    color c, or -1 when c is free at v, and the int bitmask ``used[v]`` has
+    bit c set iff c is taken at v.  Fan candidates are the set bits of
+    ``used[u] & ~used[last]``, the first free color is the lowest zero bit,
+    and the edge colors are read off ``at`` at the end.
     """
-    pal = _Palette(net)
-    for e0, (u0, v0) in enumerate(net.edges):
-        fan = [v0]
-        fan_set = {v0}
+    at = [[-1] * (net.max_degree + 1) for _ in range(net.n_nodes)]
+    used = [0] * net.n_nodes
+    for u0, v0 in net.edges:
+        at_u0 = at[u0]
+        # cols[j] is the color of edge (u0, fan[j]); the first is uncolored
+        fan, cols, in_fan = [v0], [-1], {v0}
         while True:
-            last = fan[-1]
-            nxt = None
-            for c, wnode in pal.at[u0].items():
-                if wnode not in fan_set and pal.free(last, c):
-                    if nxt is None or wnode < nxt:
-                        nxt = wnode
-            if nxt is None:
+            cand = used[u0] & ~used[fan[-1]]
+            nxt = -1
+            while cand:
+                bit = cand & -cand
+                cand ^= bit
+                col = bit.bit_length() - 1
+                wnode = at_u0[col]
+                if (nxt < 0 or wnode < nxt) and wnode not in in_fan:
+                    nxt, nxt_col = wnode, col
+            if nxt < 0:
                 break
             fan.append(nxt)
-            fan_set.add(nxt)
+            cols.append(nxt_col)
+            in_fan.add(nxt)
 
-        c = pal.first_free(u0)
-        d = pal.first_free(fan[-1])
-        if c != d and not pal.free(u0, d):
-            _invert_path(pal, u0, c, d)
+        free_u0, free_last = ~used[u0], ~used[fan[-1]]
+        c = (free_u0 & -free_u0).bit_length() - 1
+        d = (free_last & -free_last).bit_length() - 1
+        if c != d and used[u0] >> d & 1:
+            _invert_path(at, used, u0, c, d)
+            cols = [c if col == d else col for col in cols]
 
         # rotate the shortest fan prefix ending at a vertex with d free; a
         # prefix is a fan only if each edge's color is free at the previous
         # vertex, so the scan stops at the first edge that breaks this
         for w_idx, x in enumerate(fan):
-            if pal.free(x, d):
+            if not used[x] >> d & 1:
                 break
-            if w_idx + 1 == len(fan) or not pal.free(
-                x, pal.ecolor[pal.edge(u0, fan[w_idx + 1])]
-            ):
+            if w_idx + 1 == len(fan) or used[x] >> cols[w_idx + 1] & 1:
                 raise AssertionError("no rotatable fan prefix; coloring bug")
 
-        new_cols = [
-            pal.ecolor[pal.edge(u0, fan[j + 1])] for j in range(w_idx)
-        ] + [d]
-        for j in range(1, w_idx + 1):
-            pal.unset_color(u0, fan[j])
-        for j, cc in enumerate(new_cols):
-            pal.set_color(u0, fan[j], cc)
-    return EdgeColoring(tuple(pal.ecolor))
+        # fan[j] takes the color of edge (u0, fan[j + 1]), fan[w_idx] takes d
+        for j, cc in enumerate(cols[1 : w_idx + 1] + [d]):
+            x = fan[j]
+            at[x][cc] = u0
+            at_u0[cc] = x
+            used[x] |= 1 << cc
+            if j:
+                at[x][cols[j]] = -1
+                used[x] ^= 1 << cols[j]
+        used[u0] |= 1 << d
+    return EdgeColoring(tuple(at[u].index(v) for u, v in net.edges))
 
 
-def _invert_path(pal: _Palette, u0: int, c: int, d: int) -> None:
+def _invert_path(at: list[list[int]], used: list[int], u0: int, c: int, d: int) -> None:
     """Swap colors c and d along the maximal alternating path leaving u0.
 
     c is free at u0, so the path starts with the d-colored edge at u0; after
-    the swap d is free at u0 instead.
+    the swap d is free at u0 instead.  Every path node swaps its ``at``
+    entries for c and d; only the two ends change which of them they use.
     """
-    path = []
     x, col = u0, d
-    while col in pal.at[x]:
-        ynode = pal.at[x][col]
-        path.append((x, ynode, col))
-        x = ynode
-        col = c if col == d else d
-    for a, b, _ in path:
-        pal.unset_color(a, b)
-    for a, b, cc in path:
-        pal.set_color(a, b, d if cc == c else c)
+    while True:
+        y = at[x][col]
+        at[x][c], at[x][d] = at[x][d], at[x][c]
+        if y < 0:
+            break
+        x, col = y, c + d - col
+    used[u0] ^= 1 << c | 1 << d
+    used[x] ^= 1 << c | 1 << d
 
 
 def greedy_assign(

@@ -109,7 +109,11 @@ class Network:
         at a time in field order: the error path of the array checks."""
         n, m, w = self.n_nodes, self.n_edges, self.n_channels
         seen = set()
-        for i, (u, v) in enumerate(self.edges):
+        for i, edge in enumerate(self.edges):
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise FormatError(f"edges[{i}]: not a pair of endpoints") from None
             _require(
                 isinstance(u, numbers.Integral) and isinstance(v, numbers.Integral),
                 f"edges[{i}]: non-integer endpoint",
@@ -122,6 +126,7 @@ class Network:
         # 0 < x < inf in one comparison rejects NaN, infinities and nonpositive
         # values alike
         for i, r in enumerate(self.demands):
+            _require(isinstance(r, numbers.Real), f"edges[{i}]: non-numeric demand")
             if not 0.0 < r < math.inf:
                 raise _not_positive_finite(r, f"edges[{i}]", "demand")
         _require(sum(self.demands) < math.inf, "demands: total demand overflows")
@@ -129,8 +134,10 @@ class Network:
         for wi, row in enumerate(self.capacity):
             _require(len(row) == m, f"capacity[{wi}]: one entry per edge required")
             for i, c in enumerate(row):
+                where = f"capacity[{wi}][{i}]"
+                _require(isinstance(c, numbers.Real), f"{where}: non-numeric capacity")
                 if not 0.0 < c < math.inf:
-                    raise _not_positive_finite(c, f"capacity[{wi}][{i}]", "capacity")
+                    raise _not_positive_finite(c, where, "capacity")
         # entries that pass one by one but form no numeric array, such as an
         # int beyond float range
         raise FormatError("network: entries do not form numeric arrays")
@@ -178,9 +185,8 @@ class Network:
 
     @cached_property
     def max_degree(self) -> int:
-        if self.n_nodes == 0:
-            return 0
-        return max(len(es) for es in self._incidence)
+        # minlength=1 gives an edgeless network degree 0
+        return int(np.bincount(self.edge_array.ravel(), minlength=1).max())
 
     @property
     def homogeneous(self) -> bool:
@@ -246,6 +252,10 @@ def _is_number(x: object) -> bool:
 
 def _number(x: object, where: str) -> float:
     _require(_is_number(x), f"{where}: expected a number")
+    return _float(x, where)
+
+
+def _float(x: object, where: str) -> float:
     try:
         return float(x)
     except OverflowError:  # an integer literal beyond float range
@@ -384,15 +394,17 @@ def make_network(
     and channels ``w<j>``."""
     norm = tuple((min(u, v), max(u, v)) for u, v in edges)
     if isinstance(capacity, (int, float)):
-        cap = tuple(
-            tuple(float(capacity) for _ in norm) for _ in range(n_channels)
-        )
+        c = _float(capacity, "capacity")
+        cap = tuple(tuple(c for _ in norm) for _ in range(n_channels))
     else:
-        cap = tuple(tuple(float(c) for c in row) for row in capacity)
+        cap = tuple(
+            tuple(_float(c, f"capacity[{wi}][{i}]") for i, c in enumerate(row))
+            for wi, row in enumerate(capacity)
+        )
     return Network(
         node_names=tuple(f"n{i}" for i in range(n_nodes)),
         channel_names=tuple(f"w{i}" for i in range(n_channels)),
         edges=norm,
-        demands=tuple(float(r) for r in demands),
+        demands=tuple(_float(r, f"edges[{i}].demand") for i, r in enumerate(demands)),
         capacity=cap,
     )

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from chanrec.assign import EdgeColoring
 from chanrec.netmodel import ChannelAssignment, Network
 
 
@@ -193,3 +194,109 @@ def generate_instance_scalar(spec, seed):
         demands=demands,
         capacity=capacity,
     )
+
+
+class _Palette:
+    """Mutable coloring state: edge colors plus per-node color->neighbor maps."""
+
+    def __init__(self, net: Network):
+        self.net = net
+        self.n_colors = net.max_degree + 1
+        self.ecolor = [-1] * net.n_edges
+        self.at = [dict() for _ in range(net.n_nodes)]  # color -> neighbor
+        self.eid = {uv: e for e, uv in enumerate(net.edges)}
+
+    def edge(self, u: int, v: int) -> int:
+        return self.eid[(u, v) if u < v else (v, u)]
+
+    def free(self, v: int, c: int) -> bool:
+        return c not in self.at[v]
+
+    def first_free(self, v: int) -> int:
+        for c in range(self.n_colors):
+            if c not in self.at[v]:
+                return c
+        raise AssertionError("palette exhausted")
+
+    def set_color(self, u: int, v: int, c: int) -> None:
+        self.at[u][c] = v
+        self.at[v][c] = u
+        self.ecolor[self.edge(u, v)] = c
+
+    def unset_color(self, u: int, v: int) -> None:
+        c = self.ecolor[self.edge(u, v)]
+        del self.at[u][c]
+        del self.at[v][c]
+        self.ecolor[self.edge(u, v)] = -1
+
+
+def edge_color_reference(net: Network) -> EdgeColoring:
+    """The fan-rotation coloring on dict-based per-node state, as
+    ``chanrec.assign.edge_color`` must reproduce it bit for bit.
+
+    Fan-rotation algorithm: for each uncolored edge (u, v) build a maximal
+    fan of u starting at v (successive fan edges colored with a color free at
+    the previous fan vertex), flip the maximal alternating path through u in
+    the two candidate colors if needed, then rotate a fan prefix and finish
+    the last fan edge with the color freed at both ends.  Deterministic:
+    edges in index order, smallest free color, smallest-index fan extension.
+    """
+    pal = _Palette(net)
+    for e0, (u0, v0) in enumerate(net.edges):
+        fan = [v0]
+        fan_set = {v0}
+        while True:
+            last = fan[-1]
+            nxt = None
+            for c, wnode in pal.at[u0].items():
+                if wnode not in fan_set and pal.free(last, c):
+                    if nxt is None or wnode < nxt:
+                        nxt = wnode
+            if nxt is None:
+                break
+            fan.append(nxt)
+            fan_set.add(nxt)
+
+        c = pal.first_free(u0)
+        d = pal.first_free(fan[-1])
+        if c != d and not pal.free(u0, d):
+            _invert_path(pal, u0, c, d)
+
+        # rotate the shortest fan prefix ending at a vertex with d free; a
+        # prefix is a fan only if each edge's color is free at the previous
+        # vertex, so the scan stops at the first edge that breaks this
+        for w_idx, x in enumerate(fan):
+            if pal.free(x, d):
+                break
+            if w_idx + 1 == len(fan) or not pal.free(
+                x, pal.ecolor[pal.edge(u0, fan[w_idx + 1])]
+            ):
+                raise AssertionError("no rotatable fan prefix; coloring bug")
+
+        new_cols = [
+            pal.ecolor[pal.edge(u0, fan[j + 1])] for j in range(w_idx)
+        ] + [d]
+        for j in range(1, w_idx + 1):
+            pal.unset_color(u0, fan[j])
+        for j, cc in enumerate(new_cols):
+            pal.set_color(u0, fan[j], cc)
+    return EdgeColoring(tuple(pal.ecolor))
+
+
+def _invert_path(pal: _Palette, u0: int, c: int, d: int) -> None:
+    """Swap colors c and d along the maximal alternating path leaving u0.
+
+    c is free at u0, so the path starts with the d-colored edge at u0; after
+    the swap d is free at u0 instead.
+    """
+    path = []
+    x, col = u0, d
+    while col in pal.at[x]:
+        ynode = pal.at[x][col]
+        path.append((x, ynode, col))
+        x = ynode
+        col = c if col == d else d
+    for a, b, _ in path:
+        pal.unset_color(a, b)
+    for a, b, cc in path:
+        pal.set_color(a, b, d if cc == c else c)

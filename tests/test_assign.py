@@ -1,9 +1,13 @@
 """Greedy, coloring-based, and random assignment schemes."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from brute import brute_m1, sequential_proper_assignment
+from brute import brute_m1, edge_color_reference, sequential_proper_assignment
 from chanrec.assign import (
     EdgeColoring,
     edge_color,
@@ -126,6 +130,49 @@ def test_edge_color_random_graphs_within_vizing_bound():
         assert is_proper_edge_coloring(net, col), trial
         assert col.n_colors <= net.max_degree + 1, trial
         assert edge_color(net).color_of == col.color_of  # deterministic
+
+
+def _matches_reference(net):
+    col = edge_color(net)
+    assert col.color_of == edge_color_reference(net).color_of
+    return col
+
+
+def test_edge_color_matches_reference_on_generator_networks():
+    for n in range(20, 221, 20):
+        for w in (3, 5):
+            for seed in range(3):
+                _matches_reference(generate_instance(InstanceSpec(n, w), 1000 * n + seed))
+    for n in (*range(6, 9), *range(16, 19)):
+        for seed in range(5):
+            _matches_reference(generate_instance(InstanceSpec(n, 3), seed))
+
+
+def test_edge_color_matches_reference_on_complete_graphs_and_stars():
+    for n in range(1, 41):
+        pairs = list(itertools.combinations(range(n), 2))
+        star = [(0, v) for v in range(1, n)]
+        for edges in (pairs, star):
+            net = make_network(n, edges, [1.0] * len(edges), 1)
+            col = _matches_reference(net)
+            assert is_proper_edge_coloring(net, col) and col.n_colors <= n
+
+
+@st.composite
+def simple_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=16))
+    pairs = list(itertools.combinations(range(n), 2))
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = draw(st.permutations([p for p, b in zip(pairs, mask) if b]))
+    return make_network(n, edges, [1.0] * len(edges), 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(simple_graphs())
+def test_edge_color_random_simple_graphs(net):
+    col = _matches_reference(net)
+    assert is_proper_edge_coloring(net, col)
+    assert col.n_colors <= net.max_degree + 1
 
 
 def test_edge_coloring_serialization():

@@ -46,6 +46,18 @@ def test_edges_normalized_by_make_network():
     assert net.edges == ((0, 2), (0, 1))
 
 
+def test_max_degree_is_the_largest_incidence():
+    nets = array_networks() + [
+        make_network(0, [], [], 1),
+        make_network(5, [(1, 3)], [1.0], 1),  # isolated nodes 0, 2 and 4
+        make_network(6, [(0, 5), (2, 5), (4, 5), (1, 2)], [1.0] * 4, 1),
+    ]
+    for net in nets:
+        degrees = [len(net.incident_edges(v)) for v in range(net.n_nodes)]
+        assert net.max_degree == max(degrees, default=0)
+        assert type(net.max_degree) is int
+
+
 def test_network_rejects_bad_input():
     with pytest.raises(FormatError, match="self loop"):
         make_network(3, [(1, 1)], [1.0], 1)
@@ -78,6 +90,19 @@ def test_network_rejects_bad_input():
         Network(("a", "b"), ("w", "x"), ((0, 1),), (1.0,), ((-1.0,), (1.0, 2.0)))
     with pytest.raises(FormatError, match="duplicate node name"):
         Network(("a", "a"), ("w",), (), (), ((),))
+    # malformed entries of a directly built network
+    with pytest.raises(FormatError, match=r"^edges\[1\]: not a pair of endpoints$"):
+        Network(("a", "b", "c"), ("w",), ((0, 1), (0, 1, 2)), (1.0, 1.0), ((1.0, 1.0),))
+    with pytest.raises(FormatError, match=r"^edges\[0\]: not a pair of endpoints$"):
+        Network(("a", "b"), ("w",), (5,), (1.0,), ((1.0,),))
+    with pytest.raises(FormatError, match=r"^edges\[1\]: non-numeric demand$"):
+        Network(("a", "b", "c"), ("w",), ((0, 1), (1, 2)), (1.0, "x"), ((1.0, 1.0),))
+    with pytest.raises(FormatError, match=r"^capacity\[0\]\[1\]: non-numeric capacity$"):
+        Network(("a", "b", "c"), ("w",), ((0, 1), (1, 2)), (1.0, 1.0), ((1.0, "x"),))
+    with pytest.raises(FormatError, match=r"^edges\[0\]\.demand: number out of range$"):
+        make_network(3, [(0, 1)], [2**1100], 1)
+    with pytest.raises(FormatError, match=r"^capacity: number out of range$"):
+        make_network(3, [(0, 1)], [1.0], 1, capacity=2**1100)
 
 
 def test_network_rejects_non_finite_numbers():

@@ -1,21 +1,35 @@
 """Record one benchmark point of this checkout as ``BENCH_<pr>.json``.
 
-    python3 tools/bench_record.py --pr N [--seeds 1-3] [--tier1] [--out FILE]
+    python3 tools/bench_record.py --pr N [--seeds 1-3] [--base REV] [--tier1]
+        [--out FILE]
 
-Run from anywhere inside a source checkout.  It runs
-``perfbench/repeat.py --seeds A-B`` (untraced end-to-end runs, one per seed
-and workload) and one ``perfbench/run.py --trace 1`` run per workload at the
+Run from anywhere inside a source checkout.  For every workload of
+``BENCHMARK.json`` it runs ``perfbench/run.py --trace 0`` once per seed
+(untraced end-to-end runs) and ``perfbench/run.py --trace 1`` once at the
 first seed, then writes one JSON file with:
 
 * the git sha and dirty flag of the checkout, and the machine metadata of the
   ``meta`` line the traced runs print (CPU, ``nproc``, Python, numpy, BLAS,
   thread settings);
 * per workload, the median, first and third quartile and spread of every
-  end-to-end metric, with each run's value, and whether every run was correct;
+  end-to-end metric over the correct runs, each run's seed, exit code,
+  correctness and values, and whether every run was correct;
 * per workload, the traced per-layer metrics and the round count they cover;
 * with ``--tier1``, the wall time, exit code and summary line of the Tier-1
   command ``python -m pytest -q --continue-on-collection-errors``, run
   without pytest's cache plugin so that it writes nothing into the checkout.
+
+``--base REV`` measures the checkout against the git revision ``REV`` on the
+same host.  ``REV``'s ``src/`` is exported with ``git archive`` into a
+temporary directory, beside copies of this checkout's ``perfbench/`` and
+``BENCHMARK.json``, so both sides run the same harness on their own library.
+Each seed runs on both sides, the side that goes first alternating from seed
+to seed, and the traced run is made on both sides.  Each workload then holds
+a ``base`` and a ``head`` entry in the form above, and ``compare``: per
+end-to-end metric, the median over seeds of the head/base ratio and the
+number of seeds on which the head is better (by the metric's ``better`` in
+``BENCHMARK.json``).  A seed on which either side is not correct is left out
+of the comparison.  An unknown ``REV`` exits with code 2 before any run.
 
 Nothing under ``perfbench/`` is changed; its own scratch and span files go
 where ``perfbench/run.py`` puts them.
@@ -27,6 +41,8 @@ import argparse
 import json
 import os
 import re
+import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -48,30 +64,124 @@ def _seeds(text: str) -> list[int]:
     return seeds
 
 
-def _end_to_end(seeds: list[int]) -> dict:
-    with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "repeat.json")
-        subprocess.run(
-            [sys.executable, os.path.join(PERFBENCH, "repeat.py"),
-             "--seeds", f"{seeds[0]}-{seeds[-1]}", "--out", out],
-            cwd=ROOT, check=True,
+def _summary(values: list[float]) -> dict:
+    """Median, quartiles and spread, as ``perfbench/repeat.py`` reports them."""
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    med = statistics.median(values)
+    return {"median": med, "q1": q1, "q3": q3,
+            "spread": (q3 - q1) / med if med else float("inf")}
+
+
+def _spec() -> dict:
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        return json.load(fh)
+
+
+def _resolve(rev: str) -> str | None:
+    """The commit sha ``rev`` names in this checkout, or None."""
+    try:
+        proc = subprocess.run(
+            ["git", "-C", ROOT, "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"],
+            capture_output=True, text=True, timeout=30,
         )
-        with open(out) as fh:
-            return json.load(fh)
+    except OSError:
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def _traced(workload: str, seed: int) -> tuple[dict, dict]:
-    """(meta, result) of one traced run."""
+def export_base(sha: str, dest: str) -> None:
+    """Write ``sha``'s ``src/`` into ``dest`` with this checkout's
+    ``perfbench/`` (without its scratch and span files) and ``BENCHMARK.json``
+    beside it."""
+    archive = subprocess.run(
+        ["git", "-C", ROOT, "archive", "--format=tar", sha, "src"],
+        capture_output=True, check=True, timeout=120,
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True, timeout=120)
+    shutil.copytree(
+        PERFBENCH, os.path.join(dest, "perfbench"),
+        ignore=shutil.ignore_patterns("out", "_work-*", "__pycache__"),
+    )
+    shutil.copy2(os.path.join(ROOT, "BENCHMARK.json"), dest)
+
+
+def _run(root: str, workload: str, seed: int, trace: int) -> dict:
+    """One ``perfbench/run.py`` run in the tree at ``root``: its exit code,
+    ``meta`` line and result line (``correct`` false when it has none)."""
     proc = subprocess.run(
-        [sys.executable, os.path.join(PERFBENCH, "run.py"), "--workload", workload,
-         "--seed", str(seed), "--trace", "1"],
-        cwd=ROOT, capture_output=True, text=True, timeout=900,
+        [sys.executable, os.path.join(root, "perfbench", "run.py"), "--workload", workload,
+         "--seed", str(seed), "--trace", str(trace)],
+        cwd=root, capture_output=True, text=True, timeout=900,
     )
     lines = proc.stdout.strip().splitlines()
     metas = [json.loads(line)["meta"] for line in lines if line.startswith('{"meta"')]
-    if proc.returncode != 0 or not metas:
-        sys.exit(f"traced {workload} seed {seed}: exit {proc.returncode}\n{proc.stderr}")
-    return metas[0], json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = {}
+    ok = proc.returncode == 0 and bool(metas) and result.get("correct") is True
+    if not ok:
+        print(f"{workload} seed {seed} in {root}: exit {proc.returncode}, not correct\n"
+              f"{proc.stderr[-2000:]}", file=sys.stderr)
+    metrics = {m: v["value"] for m, v in result.get("metrics", {}).items()}
+    return {"seed": seed, "exit_code": proc.returncode, "correct": ok,
+            "meta": metas[0] if metas else None, "metrics": metrics}
+
+
+def _side(runs: list[dict], traced: dict, units: dict) -> dict:
+    """The record of one tree's runs of one workload."""
+    good = [r for r in runs if r["correct"]]
+    return {
+        "correct": len(good) == len(runs),
+        "runs": [{k: r[k] for k in ("seed", "exit_code", "correct")} for r in runs],
+        # quartiles need two values
+        "end_to_end": {
+            m: {**(_summary(vals) if len(vals) > 1 else {}), "unit": unit, "values": vals}
+            for m, unit in units.items()
+            if (vals := [r["metrics"][m] for r in good if m in r["metrics"]])
+        },
+        "per_layer": {
+            "seed": traced["seed"],
+            "rounds": traced["meta"]["rounds"] if traced["meta"] else None,
+            "correct": traced["correct"],
+            "metrics": traced["metrics"],
+        },
+    }
+
+
+def _compare(base: list[dict], head: list[dict], better: dict) -> dict:
+    """Head/base ratio per end-to-end metric over the seeds where both sides
+    are correct: its median and the number of seeds the head wins."""
+    pairs = [(b, h) for b, h in zip(base, head) if b["correct"] and h["correct"]]
+    out = {}
+    for m, direction in better.items():
+        ratios = [h["metrics"][m] / b["metrics"][m] for b, h in pairs
+                  if b["metrics"].get(m) and m in h["metrics"]]
+        if ratios:
+            wins = sum(r > 1.0 if direction == "higher" else r < 1.0 for r in ratios)
+            out[m] = {"median_ratio": statistics.median(ratios), "head_better": wins,
+                      "pairs": len(ratios)}
+    return out
+
+
+def _workload(
+    name: str, seeds: list[int], roots: dict[str, str], spec: dict
+) -> tuple[dict, dict]:
+    """The record of one workload and the ``meta`` line of the head's traced
+    run: untraced runs of every seed on every side, alternating the side that
+    goes first, then one traced run per side at the first seed."""
+    runs: dict[str, list[dict]] = {side: [] for side in roots}
+    for i, seed in enumerate(seeds):
+        for side in list(roots)[:: 1 if i % 2 == 0 else -1]:
+            runs[side].append(_run(roots[side], name, seed, trace=0))
+    traced = {side: _run(roots[side], name, seeds[0], trace=1) for side in roots}
+    units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
+    sides = {side: _side(runs[side], traced[side], units) for side in roots}
+    meta = traced["head"]["meta"] or {}
+    if len(roots) == 1:
+        return sides["head"], meta
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {**sides, "compare": _compare(runs["base"], runs["head"], better)}, meta
 
 
 def _tier1() -> dict:
@@ -97,35 +207,34 @@ def _tier1() -> dict:
 
 
 def main() -> None:
+    spec = _spec()
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--pr", type=int, required=True)
     p.add_argument("--seeds", type=_seeds, default=_seeds("1-3"))
+    p.add_argument("--base", metavar="REV", default=None)
     p.add_argument("--tier1", action="store_true")
     p.add_argument("--out", default=None)
     args = p.parse_args()
+    base_sha = None
+    if args.base is not None:
+        base_sha = _resolve(args.base)
+        if base_sha is None:
+            p.error(f"unknown revision '{args.base}'")
 
-    repeat = _end_to_end(args.seeds)
     record: dict = {"pr": args.pr, "seeds": [args.seeds[0], args.seeds[-1]],
-                    "seconds": repeat["seconds"], "workloads": {}}
-    for name, data in repeat["workloads"].items():
-        meta, traced = _traced(name, args.seeds[0])
-        record.setdefault("git_sha", meta["git_sha"])
-        record.setdefault("git_dirty", meta["git_dirty"])
-        record.setdefault("machine", {k: meta[k] for k in MACHINE_KEYS})
-        runs = data["runs"]
-        record["workloads"][name] = {
-            "correct": all(r["correct"] for r in runs),
-            "end_to_end": {
-                m: {**s, "unit": runs[0]["metrics"][m]["unit"],
-                    "values": [r["metrics"][m]["value"] for r in runs]}
-                for m, s in data["summary"].items()
-            },
-            "per_layer": {
-                "seed": args.seeds[0], "rounds": meta["rounds"],
-                "correct": traced["correct"],
-                "metrics": {m: v["value"] for m, v in traced["metrics"].items()},
-            },
-        }
+                    "seconds": spec["run_seconds"], "workloads": {}}
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
+        roots = {"head": ROOT}
+        if base_sha is not None:
+            export_base(base_sha, tmp)
+            roots = {"base": tmp, "head": ROOT}
+            record["base"] = {"rev": args.base, "git_sha": base_sha}
+        for name in (w["name"] for w in spec["workloads"]):
+            record["workloads"][name], meta = _workload(name, args.seeds, roots, spec)
+            record.setdefault("git_sha", meta.get("git_sha"))
+            record.setdefault("git_dirty", meta.get("git_dirty"))
+            record.setdefault("machine", {k: meta.get(k) for k in MACHINE_KEYS})
+            print(f"{name}: done", flush=True)
     if args.tier1:
         record["tier1"] = _tier1()
     out = args.out or os.path.join(ROOT, f"BENCH_{args.pr}.json")
