@@ -62,24 +62,23 @@ def edge_color(net: Network) -> EdgeColoring:
     at = [[-1] * (net.max_degree + 1) for _ in range(net.n_nodes)]
     used = [0] * net.n_nodes
     for u0, v0 in net.edges:
-        at_u0 = at[u0]
+        at_u0, used_u0 = at[u0], used[u0]
         # cols[j] is the color of edge (u0, fan[j]); the first is uncolored
-        fan, cols, in_fan = [v0], [-1], {v0}
+        fan, cols = [v0], [-1]
         while True:
-            cand = used[u0] & ~used[fan[-1]]
+            cand = used_u0 & ~used[fan[-1]]
             nxt = -1
             while cand:
                 bit = cand & -cand
                 cand ^= bit
                 col = bit.bit_length() - 1
                 wnode = at_u0[col]
-                if (nxt < 0 or wnode < nxt) and wnode not in in_fan:
+                if (nxt < 0 or wnode < nxt) and wnode not in fan:
                     nxt, nxt_col = wnode, col
             if nxt < 0:
                 break
             fan.append(nxt)
             cols.append(nxt_col)
-            in_fan.add(nxt)
 
         free_u0, free_last = ~used[u0], ~used[fan[-1]]
         c = (free_u0 & -free_u0).bit_length() - 1
