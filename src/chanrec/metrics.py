@@ -20,20 +20,20 @@ odd-set capacity constraint still holds.  ``beta >= 1`` means the assignment
 is feasible as given.
 
 Both objectives read the same load tables: per node and channel
-(``_node_loads``), per odd set and channel (``_oddset_loads``) and, in
-bracket mode, per 3-node set and channel (``_triple_loads``), weighted by
+(``_node_loads``) and per odd set and channel (``_odd_rows``), weighted by
 demand (``Network.demand_array``) for the capacity and by ``rho = demand /
 capacity`` (``Network.rho``) for the margin.
 
-``mode`` selects how the odd-set term is evaluated.  ``"exact"`` enumerates
-all odd subsets: per channel, the induced loads of all 2^n node subsets are
-accumulated on a dense subset lattice (each edge adds its weight to the
-quarter of the lattice that contains both endpoints), and the odd subsets are
-then read off it.  ``"bracket"`` returns certified lower/upper bounds instead:
-the odd-set end (``m2_lo``, ``z2_hi``) is the exact value over 3-node sets,
-read from a wedge table whose rows add their edges in edge-index order as the
-lattice does, so it matches exact mode there bit for bit; the node term bounds
-the other end.
+``mode`` selects how the odd-set term is evaluated, and the two modes differ
+only in which odd sets ``_odd_rows`` lists; one reduction per objective reads
+either list.  ``"exact"`` lists all odd subsets: per channel, the induced
+loads of all 2^n node subsets are accumulated on a dense subset lattice (each
+edge adds its weight to the quarter of the lattice that contains both
+endpoints), and the odd subsets are then read off it (``_oddset_loads``).
+``"bracket"`` lists the 3-node sets with two or three edges, from a wedge
+table whose rows add their edges in edge-index order as the lattice does
+(``_triple_loads``), so its odd-set end (``m2_lo``, ``z2_hi``) matches exact
+mode over those sets bit for bit; the node term bounds the other end.
 ``"auto"`` is exact up to ``ODDSET_EXACT_CAP`` nodes and bracket above.  An
 explicit ``"exact"`` runs up to ``ODDSET_CAP_LIMIT`` nodes and is refused
 above that before anything is allocated: the enumeration allocates arrays of
@@ -274,12 +274,6 @@ def max_node_load(
     check_assignment(net, y)
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _max_node_load(net, y, k)
-
-
-def _max_node_load(
-    net: Network, y: ChannelAssignment, k: int
-) -> tuple[float, NodeLoadWitness | None]:
     if net.n_edges == 0:
         return 0.0, None
     k_eff = min(k, net.n_channels)
@@ -291,6 +285,47 @@ def _max_node_load(
 
 
 # -- odd-set term ---------------------------------------------------------
+
+
+def _odd_rows(
+    net: Network, y: ChannelAssignment, weights: np.ndarray, mode: str
+) -> tuple[np.ndarray | None, np.ndarray | int, np.ndarray]:
+    """(masks, sizes, loads[row, channel]) of the odd sets ``mode`` lists:
+    every odd set in exact mode, and in bracket mode the 3-node sets with two
+    or three edges, without masks.  The reductions add the sets that hold
+    one edge as the largest single weight, a no-op in exact mode."""
+    if mode == "exact":
+        return _oddset_loads(net, y, weights)
+    return None, 3, _triple_loads(net, y, weights)
+
+
+def _bracket_factor(net: Network, y: ChannelAssignment) -> float:
+    """Odd-set over node term bound for the sets bracket mode leaves out."""
+    return 1.25 if is_proper_labeling(net, y.channel_of) else 1.5
+
+
+def _odd_set_term(
+    net: Network, y: ChannelAssignment, k: int, mode: str, m1: float
+) -> tuple[float, float, OddSetLoadWitness | None]:
+    """The odd-set term of (y, k) as (lo, hi, witness).
+
+    lo is the largest ``2/(|U|-1)`` times top-k load over the listed sets
+    (and the largest demand).  In exact mode hi = lo and the witness is the
+    lexicographically first set attaining it; in bracket mode hi comes from
+    the node term ``m1`` of (y, k), and there is no witness.
+    """
+    if net.n_edges == 0 or net.n_nodes < 3:
+        # no odd sets at all, so the odd-set term is exactly zero
+        return 0.0, 0.0, None
+    k_eff = min(k, net.n_channels)
+    demands = net.demand_array
+    masks, sizes, loads = _odd_rows(net, y, demands, mode)
+    values = _topk_sum(loads, k_eff) * (2.0 / (sizes - 1))
+    lo = float(np.max(values, initial=demands.max()))
+    if mode == "bracket":
+        return lo, max(lo, _bracket_factor(net, y) * m1), None
+    nodes, _, row = _first_odd_set(masks, (values == lo)[:, None])
+    return lo, lo, OddSetLoadWitness(nodes, _best_channel_set(loads[row], k_eff))
 
 
 def max_odd_set_load_exact(
@@ -305,14 +340,9 @@ def max_odd_set_load_exact(
     if k < 1:
         raise ValueError("k must be >= 1")
     _resolve_mode(net, "exact")
-    if net.n_edges == 0 or net.n_nodes < 3:
-        return 0.0, None
-    k_eff = min(k, net.n_channels)
-    masks, sizes, loads = _oddset_loads(net, y, net.demand_array)
-    values = _topk_sum(loads, k_eff) * (2.0 / (sizes - 1))
-    best = values.max()
-    nodes, _, row = _first_odd_set(masks, (values == best)[:, None])
-    return float(best), OddSetLoadWitness(nodes, _best_channel_set(loads[row], k_eff))
+    # with every odd set listed, the node term bounds nothing
+    lo, _, witness = _odd_set_term(net, y, k, "exact", 0.0)
+    return lo, witness
 
 
 def max_odd_set_load_bracket(
@@ -321,28 +351,14 @@ def max_odd_set_load_bracket(
     """Certified [lo, hi] bounds on the odd-set term.
 
     lo is the exact odd-set term over 3-node subsets, bit for bit as exact
-    mode computes it there: the top-k sums of the ``_triple_loads`` rows, and
-    the largest single demand for the sets that hold one edge.  hi comes
-    from the node term: the odd-set term never exceeds 1.5x the node term,
-    and for interference-free assignments the contribution of subsets of 5+
-    nodes never exceeds 1.25x the node term.
+    mode computes it there.  hi comes from the node term: the odd-set term
+    never exceeds 1.5x the node term, and for interference-free assignments
+    the contribution of subsets of 5+ nodes never exceeds 1.25x the node
+    term.
     """
     m1, _ = max_node_load(net, y, k)
-    return _odd_set_bracket(net, y, k, m1)
-
-
-def _odd_set_bracket(
-    net: Network, y: ChannelAssignment, k: int, m1: float
-) -> tuple[float, float]:
-    """``max_odd_set_load_bracket`` given the node term ``m1`` of (y, k)."""
-    if net.n_edges == 0 or net.n_nodes < 3:
-        # no odd sets at all, so the odd-set term is exactly zero
-        return 0.0, 0.0
-    demands = net.demand_array
-    triples = _topk_sum(_triple_loads(net, y, demands), min(k, net.n_channels))
-    lo = float(np.max(triples, initial=demands.max()))
-    factor = 1.25 if is_proper_labeling(net, y.channel_of) else 1.5
-    return lo, max(lo, factor * m1)
+    lo, hi, _ = _odd_set_term(net, y, k, "bracket", m1)
+    return lo, hi
 
 
 # -- recovery capacity ----------------------------------------------------
@@ -419,14 +435,8 @@ def recovery_capacity(
     if k < 1:
         raise ValueError("k must be >= 1")
     mode = _resolve_mode(net, mode)
-    # y is checked once, by the term called through its public name
-    if mode == "exact":
-        lo, wit2 = max_odd_set_load_exact(net, y, k)
-        m1, wit1 = _max_node_load(net, y, k)
-        hi = lo
-    else:
-        m1, wit1 = max_node_load(net, y, k)
-        (lo, hi), wit2 = _odd_set_bracket(net, y, k, m1), None
+    m1, wit1 = max_node_load(net, y, k)  # checks y, once
+    lo, hi, wit2 = _odd_set_term(net, y, k, mode, m1)
     return RecoveryReport(
         k=k, mode=mode, m1=m1, witness_m1=wit1, m2_lo=lo, m2_hi=hi, witness_m2=wit2
     )
@@ -521,40 +531,28 @@ def feasibility_ratio(
         v, w = divmod(int(margins.argmin()), net.n_channels)
         z1, wit1 = float(margins[v, w]), NodeConstraintWitness(v, w)
 
-    if mode == "exact":
-        z2, wit2 = _oddset_margin_exact(net, y, rho)
-        return FeasibilityReport(
-            mode=mode, z1=z1, witness_z1=wit1, z2_lo=z2, z2_hi=z2, witness_z2=wit2
-        )
-
-    # z2_hi is the exact odd-set margin over 3-node sets (limit 1 there):
-    # 1 over the largest load of a wedge-table row or of a single edge
-    z2_hi = math.inf
+    # Odd-set margin: smallest limit (|U|-1)/2 over load among the listed
+    # rows, and 1 over the largest rho for the sets that hold one edge.
+    # Rounded division is monotone, so a row's smallest limit / load is its
+    # limit over its largest load, bit for bit.
+    z2 = math.inf
+    wit2: OddSetConstraintWitness | None = None
     if net.n_edges and net.n_nodes >= 3:
-        top = np.max(_triple_loads(net, y, rho), initial=rho.max())
+        masks, sizes, loads = _odd_rows(net, y, rho, mode)
+        limits = (sizes - 1) / 2.0  # >= 1, so an unloaded row gives inf
         with np.errstate(divide="ignore"):
-            z2_hi = float(1.0 / top)
-    factor = 0.8 if is_proper_labeling(net, y.channel_of) else 2.0 / 3.0
-    z2_lo = min(z2_hi, factor * z1)
+            margins = limits / loads.max(axis=1, initial=0.0)
+            z2 = float(np.min(margins, initial=1.0 / rho.max()))
+            if mode == "exact" and z2 < math.inf:
+                # the rows whose margin ties are the rows holding a tied cell
+                tied = margins == z2
+                cells = limits[tied, None] / loads[tied] == z2
+                nodes, w, _ = _first_odd_set(masks[tied], cells)
+                wit2 = OddSetConstraintWitness(nodes, w)
+    z2_lo = z2 if mode == "exact" else min(z2, (1.0 / _bracket_factor(net, y)) * z1)
     return FeasibilityReport(
-        mode="bracket", z1=z1, witness_z1=wit1, z2_lo=z2_lo, z2_hi=z2_hi
+        mode=mode, z1=z1, witness_z1=wit1, z2_lo=z2_lo, z2_hi=z2, witness_z2=wit2
     )
-
-
-def _oddset_margin_exact(
-    net: Network, y: ChannelAssignment, rho: np.ndarray
-) -> tuple[float, OddSetConstraintWitness | None]:
-    if net.n_edges == 0 or net.n_nodes < 3:
-        return math.inf, None
-    masks, sizes, loads = _oddset_loads(net, y, rho)
-    limits = (sizes - 1) / 2.0  # >= 1, so an unloaded channel gives inf
-    with np.errstate(divide="ignore"):
-        margins = limits[:, None] / loads
-    z2 = float(margins.min())
-    if math.isinf(z2):
-        return math.inf, None
-    nodes, w, _ = _first_odd_set(masks, margins == z2)
-    return z2, OddSetConstraintWitness(nodes, w)
 
 
 def is_feasible(net: Network, y: ChannelAssignment, mode: str = "auto") -> str:
