@@ -144,21 +144,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# flags that apply to some study kinds only: the kinds and the default
-_STUDY_KIND_FLAGS = {
-    "k": (("scaling",), 2),
-    "k_values": (("gap",), [1]),
-    "budget": (("gap", "traffic"), 300_000),
-}
-
-
 def _cmd_study(args: argparse.Namespace) -> int:
-    for name, (kinds, default) in _STUDY_KIND_FLAGS.items():
-        if getattr(args, name) is None:
-            setattr(args, name, default)
-        elif args.kind not in kinds:
-            flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{flag} does not apply to --kind {args.kind}")
     overrides = {}
     if args.degree_cap is not None:
         overrides["degree_cap"] = args.degree_cap
@@ -195,6 +181,36 @@ def _cmd_study(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# flags that apply to some values of a subcommand's selector only: per
+# subcommand, the selector and, per flag, those values and the default
+_SCOPED_FLAGS = {
+    "assign": ("alg", {
+        "seed": (("random",), DEFAULT_MASTER_SEED),
+        "colors_out": (("ifa",), None),
+    }),
+    "oracle": ("problem", {"k": (("whiterec", "whiterecinf"), 1)}),
+    "study": ("kind", {
+        "k": (("scaling",), 2),
+        "k_values": (("gap",), [1]),
+        "budget": (("gap", "traffic"), 300_000),
+    }),
+}
+
+
+def _scope_flags(args: argparse.Namespace) -> None:
+    """Give each scoped flag left out its default; refuse one given where it
+    does not apply."""
+    selector, flags = _SCOPED_FLAGS.get(args.command, ("", {}))
+    for name, (values, default) in flags.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif getattr(args, selector) not in values:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(
+                f"{flag} does not apply to --{selector} {getattr(args, selector)}"
+            )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chanrec",
@@ -207,7 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_assign.add_argument(
         "--alg", required=True, choices=("greedy", "ifa", "random")
     )
-    p_assign.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
+    p_assign.add_argument(
+        "--seed", type=int, help=f"random only (default {DEFAULT_MASTER_SEED})"
+    )
     p_assign.add_argument("--out", default=None, help="output file (default stdout)")
     p_assign.add_argument(
         "--colors-out",
@@ -229,7 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument(
         "--problem", required=True, choices=("whiterec", "whiterecinf", "feasi")
     )
-    p_oracle.add_argument("--k", type=_positive_int, default=1)
+    p_oracle.add_argument(
+        "--k", type=_positive_int, help="whiterec and whiterecinf only (default 1)"
+    )
     p_oracle.add_argument("--budget", type=_positive_int, default=DEFAULT_LEAF_BUDGET)
     p_oracle.add_argument(
         "--strict",
@@ -271,6 +291,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _scope_flags(args)
         return args.fn(args)
     except (FormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,7 +42,7 @@ import numpy as np
 from .assign import greedy_assign, ifa_assign, random_assign
 from .metrics import feasibility_ratio, recovery_capacity
 from .netmodel import ChannelAssignment, Network
-from .oracles import solve_feasi_exact, solve_whiterec_exact
+from .oracles import _check_size, solve_feasi_exact, solve_whiterec_exact
 
 _MASK64 = (1 << 64) - 1
 
@@ -262,13 +262,16 @@ def _run_study(
 ) -> list[ExperimentRecord]:
     """The records of ``task((spec, instance_id, instance_seed) + extra)``
     over ``trials`` instances per (channel count, size) cell, cells in that
-    order.  The axes are checked before any instance is drawn or any worker
+    order.  The axes, and for the oracle studies the sizes against the exact
+    solvers' limit, are checked before any instance is drawn or any worker
     starts."""
     for name, axis in (
         ("sizes", sizes), ("channel counts", channel_counts), ("k values", k_values)
     ):
         if any(v < 1 for v in axis) or len(set(axis)) < len(axis):
             raise ValueError(f"{name} must be positive and distinct, got {list(axis)}")
+    if task is _oracle_task:
+        _check_size(max(sizes, default=0))
     cells = [
         replace(InstanceSpec(size, w), **(spec_overrides or {}))
         for w in channel_counts

@@ -202,7 +202,14 @@ class ChannelAssignment:
     channel_of: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # by the entries' types: np.array((0, True)) would be an int array
+        kinds = set(map(type, self.channel_of))
+        if all(issubclass(t, numbers.Integral) and t is not bool for t in kinds):
+            if min(self.channel_of, default=0) >= 0:
+                return
         for e, w in enumerate(self.channel_of):
+            if isinstance(w, bool) or not isinstance(w, numbers.Integral):
+                raise ValueError(f"edge {e}: non-integer channel index")
             if w < 0:
                 raise ValueError(f"edge {e}: negative channel index")
 

@@ -304,16 +304,21 @@ def _search(
     return best, best_assignment, explored, not out_of_budget
 
 
+def _check_size(n_nodes: int) -> None:
+    """Refuse networks above the odd-set enumeration's ``ODDSET_EXACT_CAP``."""
+    if n_nodes > ODDSET_EXACT_CAP:
+        raise ValueError(
+            f"exact solvers enumerate odd sets and stop at {ODDSET_EXACT_CAP} nodes"
+        )
+
+
 def _solve(name: str, net: Network, k: int, limit: int) -> OracleResult:
     feasi = name == "feasi"
     if not feasi and k < 1:
         raise ValueError("k must be >= 1")
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    if net.n_nodes > ODDSET_EXACT_CAP:
-        raise ValueError(
-            f"exact solvers enumerate odd sets and stop at {ODDSET_EXACT_CAP} nodes"
-        )
+    _check_size(net.n_nodes)
     if net.n_edges == 0:
         return OracleResult(
             name, math.inf if feasi else 0.0, ChannelAssignment(()), 1, True

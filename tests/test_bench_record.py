@@ -56,12 +56,20 @@ def test_base_export_holds_rev_src_beside_this_harness(tmp_path):
     sha = bench_record._resolve("HEAD")
     assert sha is not None and len(sha) == 40
     bench_record.export_base(sha, str(tmp_path))
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCHMARK.json", "perfbench", "src"]
-    committed = subprocess.run(
-        ["git", "-C", str(ROOT), "show", f"{sha}:src/chanrec/assign.py"],
-        capture_output=True, check=True,
-    ).stdout
-    assert (tmp_path / "src" / "chanrec" / "assign.py").read_bytes() == committed
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "BENCHMARK.json", "perfbench", "pyproject.toml", "src", "tests", "tools"
+    ]
+    # REV's own Tier-1 runs in the export: its tests, the tool they load and
+    # the pytest settings
+    for path in (
+        "src/chanrec/assign.py", "tests/test_metrics.py", "tests/conftest.py",
+        "tools/bench_record.py", "pyproject.toml",
+    ):
+        committed = subprocess.run(
+            ["git", "-C", str(ROOT), "show", f"{sha}:{path}"],
+            capture_output=True, check=True,
+        ).stdout
+        assert (tmp_path / path).read_bytes() == committed, path
     assert filecmp.cmp(tmp_path / "BENCHMARK.json", ROOT / "BENCHMARK.json", shallow=False)
     for name in ("run.py", "workloads.py", "reference.json"):
         assert filecmp.cmp(

@@ -331,6 +331,45 @@ def test_study_refuses_flags_of_other_kinds(monkeypatch, capsys, kind, flag):
     assert captured.err == f"error: {flag[0]} does not apply to --kind {kind}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["assign", "--alg", "greedy", "--colors-out", "c.json"],
+         "--colors-out does not apply to --alg greedy"),
+        (["assign", "--alg", "random", "--colors-out", "c.json"],
+         "--colors-out does not apply to --alg random"),
+        (["assign", "--alg", "greedy", "--seed", "3"], "--seed does not apply to --alg greedy"),
+        (["assign", "--alg", "ifa", "--seed", "3"], "--seed does not apply to --alg ifa"),
+        (["oracle", "--problem", "feasi", "--k", "3"], "--k does not apply to --problem feasi"),
+    ],
+)
+def test_flags_that_do_not_apply_exit_2(tmp_path, monkeypatch, capsys, argv, message):
+    # the network file does not exist: the flag is refused before it is read
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--net", "missing.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["gap", "traffic"])
+def test_oracle_study_sizes_above_the_solver_limit_exit_2(monkeypatch, capsys, kind):
+    def no_work(*args):
+        raise AssertionError("instance drawn or task started")
+
+    monkeypatch.setattr(experiments, "_run_tasks", no_work)
+    monkeypatch.setattr(experiments, "generate_instance", no_work)
+    argv = ["study", "--kind", kind, "--sizes", f"6,{metrics.ODDSET_EXACT_CAP + 1}",
+            "--channels", "2", "--trials", "1", "--jobs", "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: exact solvers enumerate odd sets and stop at {metrics.ODDSET_EXACT_CAP} nodes\n"
+    )
+
+
 def test_cli_byte_determinism(tmp_path, k3_file):
     args = ["eval", "--net", k3_file, "--assignment"]
     y = tmp_path / "y.json"

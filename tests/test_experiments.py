@@ -22,7 +22,7 @@ from chanrec.experiments import (
     uniform_demand_capacity_bound,
     write_records_csv,
 )
-from chanrec.metrics import TOL, feasibility_ratio, recovery_capacity
+from chanrec.metrics import ODDSET_EXACT_CAP, TOL, feasibility_ratio, recovery_capacity
 from record_study_golden import CASES, GOLDEN_PATH, digests, run_case
 
 
@@ -363,6 +363,41 @@ def test_study_axes_checked_before_any_task(monkeypatch, run, kwargs, axis):
     monkeypatch.setattr(experiments, "_run_tasks", no_tasks)
     with pytest.raises(ValueError, match=f"^{axis} must be positive and distinct"):
         run(trials=2, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "run, kwargs", [(run_gap_study, dict(k_values=[1])), (run_traffic_study, {})]
+)
+def test_oracle_studies_refuse_sizes_above_the_solver_limit_first(monkeypatch, run, kwargs):
+    started = {"instances": 0, "pools": 0}
+    generate = experiments.generate_instance
+
+    def counted_generate(spec, seed):
+        started["instances"] += 1
+        return generate(spec, seed)
+
+    class CountedPool:  # maps in this process
+        def __init__(self, max_workers):
+            started["pools"] += 1
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiments, "generate_instance", counted_generate)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    with pytest.raises(
+        ValueError,
+        match=f"^exact solvers enumerate odd sets and stop at {ODDSET_EXACT_CAP} nodes$",
+    ):
+        run(sizes=[6, ODDSET_EXACT_CAP + 1], channel_counts=[2], trials=1, jobs=2, **kwargs)
+    assert started == {"instances": 0, "pools": 0}
 
 
 def test_studies_match_golden_file():

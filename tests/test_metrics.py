@@ -626,6 +626,33 @@ def test_bracket_contains_exact_value(data):
 
 
 @given(net_and_assignment())
+def test_bracket_ends_pinned_bit_for_bit(data):
+    # each end of both brackets as one float expression over the lattice's
+    # 3-node rows; z1 / f in place of (1.0 / f) * z1 differs in the last bit
+    # for some z1
+    net, y, _ = data
+    f = 1.25 if is_interference_free(net, y) else 1.5
+    feas = feasibility_ratio(net, y, mode="bracket")
+    assert feas.z2_lo.hex() == min(feas.z2_hi, (1.0 / f) * feas.z1).hex()
+    if net.n_edges == 0 or net.n_nodes < 3:
+        assert feas.z2_hi == math.inf
+        assert all(max_odd_set_load_bracket(net, y, k) == (0.0, 0.0) for k in (1, 2, 3))
+        return
+    demands = net.demand_array
+    # descending cumulative sums: the reference top-k
+    top = np.cumsum(np.sort(_lattice_triples(net, y, demands), axis=1)[:, ::-1], axis=1)
+    for k in (1, 2, 3):
+        m2_lo, m2_hi = max_odd_set_load_bracket(net, y, k)
+        want = float(np.max(top[:, min(k, net.n_channels) - 1], initial=demands.max()))
+        assert m2_lo.hex() == want.hex(), k
+        m1, _ = max_node_load(net, y, k)
+        assert m2_hi.hex() == max(m2_lo, f * m1).hex(), k
+    rho = net.rho[np.arange(net.n_edges), y.channel_of]
+    top_rho = float(np.max(_lattice_triples(net, y, rho), initial=rho.max()))
+    assert feas.z2_hi.hex() == (1.0 / top_rho).hex()
+
+
+@given(net_and_assignment())
 @settings(max_examples=60)
 def test_scaling_demands_scales_metrics(data):
     net, y, k = data

@@ -176,6 +176,33 @@ def test_assignment_checks():
         ChannelAssignment((0, -1))
 
 
+@pytest.mark.parametrize(
+    "channels, edge",
+    [
+        ((0.5, 1, 0, 1), 0),
+        ((0, 1.9, 0), 1),
+        ((0, 1, 1.0), 2),
+        ((0, True, 1), 1),
+        ((False, False), 0),
+        ((0, "1"), 1),
+        ((0, np.float64(1.0)), 1),
+        ((0, np.bool_(True)), 1),
+        ((0, 1, None), 2),
+    ],
+)
+def test_assignment_refuses_non_integer_channels(channels, edge):
+    with pytest.raises(ValueError, match=rf"^edge {edge}: non-integer channel index$"):
+        ChannelAssignment(channels)
+
+
+def test_assignment_accepts_python_and_numpy_ints():
+    channels = (0, np.int64(1), np.intp(2), np.uint8(1), 0)
+    assert ChannelAssignment(channels).channel_of == channels
+    # the first bad entry is named, whatever its fault
+    with pytest.raises(ValueError, match=r"^edge 1: negative channel index$"):
+        ChannelAssignment((0, np.int32(-1), 0.5))
+
+
 def test_network_json_round_trip():
     net = make_network(
         4,

@@ -20,9 +20,12 @@ first seed, then writes one JSON file with:
   without pytest's cache plugin so that it writes nothing into the checkout.
 
 ``--base REV`` measures the checkout against the git revision ``REV`` on the
-same host.  ``REV``'s ``src/`` is exported with ``git archive`` into a
-temporary directory, beside copies of this checkout's ``perfbench/`` and
+same host.  ``REV``'s ``src/``, ``tests/``, ``tools/`` (which its tests load)
+and ``pyproject.toml`` are exported with ``git archive`` into a temporary
+directory, beside copies of this checkout's ``perfbench/`` and
 ``BENCHMARK.json``, so both sides run the same harness on their own library.
+With ``--tier1`` the same Tier-1 command also runs in the export, on
+``REV``'s own tests, and is recorded as the base side's ``tier1``.
 Each seed runs on both sides, the side that goes first alternating from seed
 to seed, and the traced run is made on both sides.  Each workload then holds
 a ``base`` and a ``head`` entry in the form above, and ``compare``: per
@@ -51,6 +54,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 MACHINE_KEYS = ("nproc", "cpu", "python", "numpy", "blas", "thread_env")
+EXPORT = ("src", "tests", "tools", "pyproject.toml")
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 SUMMARY = re.compile(r" in \d+(\.\d+)?s( \(\d+:\d\d:\d\d\))?$")
 
@@ -90,11 +94,16 @@ def _resolve(rev: str) -> str | None:
 
 
 def export_base(sha: str, dest: str) -> None:
-    """Write ``sha``'s ``src/`` into ``dest`` with this checkout's
-    ``perfbench/`` (without its scratch and span files) and ``BENCHMARK.json``
-    beside it."""
+    """Write the ``EXPORT`` paths ``sha`` has into ``dest``, with this
+    checkout's ``perfbench/`` (without its scratch and span files) and
+    ``BENCHMARK.json`` beside them."""
+    names = subprocess.run(
+        ["git", "-C", ROOT, "ls-tree", "--name-only", sha],
+        capture_output=True, text=True, check=True, timeout=30,
+    ).stdout.split()
     archive = subprocess.run(
-        ["git", "-C", ROOT, "archive", "--format=tar", sha, "src"],
+        ["git", "-C", ROOT, "archive", "--format=tar", sha,
+         *(p for p in EXPORT if p in names)],
         capture_output=True, check=True, timeout=120,
     ).stdout
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True, timeout=120)
@@ -184,14 +193,15 @@ def _workload(
     return {**sides, "compare": _compare(runs["base"], runs["head"], better)}, meta
 
 
-def _tier1() -> dict:
+def _tier1(root: str) -> dict:
+    """The Tier-1 command's outcome in the tree at ``root``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
     )
     t0 = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, *TIER1], cwd=ROOT, env=env, capture_output=True, text=True
+        [sys.executable, *TIER1], cwd=root, env=env, capture_output=True, text=True
     )
     wall = time.perf_counter() - t0
     # pytest's final line, e.g. "165 passed, 1 skipped in 317.00s (0:05:17)"
@@ -235,8 +245,10 @@ def main() -> None:
             record.setdefault("git_dirty", meta.get("git_dirty"))
             record.setdefault("machine", {k: meta.get(k) for k in MACHINE_KEYS})
             print(f"{name}: done", flush=True)
-    if args.tier1:
-        record["tier1"] = _tier1()
+        if args.tier1:
+            record["tier1"] = _tier1(ROOT)
+            if base_sha is not None:
+                record["base"]["tier1"] = _tier1(tmp)
     out = args.out or os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(out, "w") as fh:
         json.dump(record, fh, indent=1)
