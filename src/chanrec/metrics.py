@@ -320,7 +320,8 @@ def _odd_set_term(
     k_eff = min(k, net.n_channels)
     demands = net.demand_array
     masks, sizes, loads = _odd_rows(net, y, demands, mode)
-    values = _topk_sum(loads, k_eff) * (2.0 / (sizes - 1))
+    values = _topk_sum(loads, k_eff)
+    values *= 2.0 / (sizes - 1)  # in place: bracket mode's x 1.0 allocates nothing
     lo = float(np.max(values, initial=demands.max()))
     if mode == "bracket":
         return lo, max(lo, _bracket_factor(net, y) * m1), None
@@ -532,23 +533,19 @@ def feasibility_ratio(
         z1, wit1 = float(margins[v, w]), NodeConstraintWitness(v, w)
 
     # Odd-set margin: smallest limit (|U|-1)/2 over load among the listed
-    # rows, and 1 over the largest rho for the sets that hold one edge.
-    # Rounded division is monotone, so a row's smallest limit / load is its
-    # limit over its largest load, bit for bit.
+    # cells, and 1 over the largest rho for the sets that hold one edge.
     z2 = math.inf
     wit2: OddSetConstraintWitness | None = None
     if net.n_edges and net.n_nodes >= 3:
         masks, sizes, loads = _odd_rows(net, y, rho, mode)
-        limits = (sizes - 1) / 2.0  # >= 1, so an unloaded row gives inf
+        # >= 1, so an unloaded channel gives inf
+        limits = (np.reshape(sizes, (-1, 1)) - 1) / 2.0
         with np.errstate(divide="ignore"):
-            margins = limits / loads.max(axis=1, initial=0.0)
+            margins = limits / loads
             z2 = float(np.min(margins, initial=1.0 / rho.max()))
-            if mode == "exact" and z2 < math.inf:
-                # the rows whose margin ties are the rows holding a tied cell
-                tied = margins == z2
-                cells = limits[tied, None] / loads[tied] == z2
-                nodes, w, _ = _first_odd_set(masks[tied], cells)
-                wit2 = OddSetConstraintWitness(nodes, w)
+        if mode == "exact" and z2 < math.inf:
+            nodes, w, _ = _first_odd_set(masks, margins == z2)
+            wit2 = OddSetConstraintWitness(nodes, w)
     z2_lo = z2 if mode == "exact" else min(z2, (1.0 / _bracket_factor(net, y)) * z1)
     return FeasibilityReport(
         mode=mode, z1=z1, witness_z1=wit1, z2_lo=z2_lo, z2_hi=z2, witness_z2=wit2
