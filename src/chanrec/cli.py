@@ -154,8 +154,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
         overrides["capacity_range"] = tuple(args.capacity_range)
     if args.demand_range is not None:
         overrides["demand_range"] = tuple(args.demand_range)
-    if args.uniform_demand is not None:
-        overrides["demand_range"] = (args.uniform_demand, args.uniform_demand)
     common = dict(
         sizes=args.sizes,
         channel_counts=args.channels,
@@ -274,12 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--degree-cap", type=int, default=None)
     p_study.add_argument("--edge-prob", type=float, default=None)
     p_study.add_argument("--capacity-range", type=float, nargs=2, default=None)
-    demand = p_study.add_mutually_exclusive_group()
-    demand.add_argument("--demand-range", type=float, nargs=2, default=None)
-    demand.add_argument(
-        "--uniform-demand", type=float, default=None,
-        help="every link demands this much (--demand-range R R)",
-    )
+    p_study.add_argument("--demand-range", type=float, nargs=2, default=None)
     p_study.add_argument("--out", default=None, help="CSV output path")
     p_study.add_argument("--summary", default=None, help="JSON summary path")
     p_study.set_defaults(fn=_cmd_study)

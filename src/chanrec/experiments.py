@@ -117,10 +117,13 @@ def uniform_demand_capacity_bound(
 
 # -- records --------------------------------------------------------------
 
-CSV_HEADER = (
-    "instance_id,seed,n_nodes,n_edges,n_channels,k,algorithm,"
-    "m1,m2_lo,m2_hi,capacity_lo,capacity_hi,beta,l_tot,ratio,runtime_ms"
+# the CSV columns: these ints, the algorithm, these 9-decimal floats, then
+# runtime_ms, written as a 0 placeholder
+_INT_COLUMNS = ("instance_id", "seed", "n_nodes", "n_edges", "n_channels", "k")
+_FLOAT_COLUMNS = (
+    "m1", "m2_lo", "m2_hi", "capacity_lo", "capacity_hi", "beta", "l_tot", "ratio"
 )
+CSV_HEADER = ",".join((*_INT_COLUMNS, "algorithm", *_FLOAT_COLUMNS, "runtime_ms"))
 
 
 @dataclass(frozen=True)
@@ -148,26 +151,11 @@ class ExperimentRecord:
     proven_optimal: bool | None = None
 
     def csv_row(self) -> str:
-        f = "{:.9f}".format
         return ",".join(
-            [
-                str(self.instance_id),
-                str(self.seed),
-                str(self.n_nodes),
-                str(self.n_edges),
-                str(self.n_channels),
-                str(self.k),
-                self.algorithm,
-                f(self.m1),
-                f(self.m2_lo),
-                f(self.m2_hi),
-                f(self.capacity_lo),
-                f(self.capacity_hi),
-                f(self.beta),
-                f(self.l_tot),
-                f(self.ratio),
-                f(0.0),  # placeholder: wall time is not reproducible
-            ]
+            [str(getattr(self, name)) for name in _INT_COLUMNS]
+            + [self.algorithm]
+            + [format(getattr(self, name), ".9f") for name in _FLOAT_COLUMNS]
+            + [format(0.0, ".9f")]  # placeholder: wall time is not reproducible
         )
 
 
@@ -185,12 +173,12 @@ def make_record(
     k: int,
     algorithm: str,
     y: ChannelAssignment | None,
-    mode: str,
     proven_optimal: bool | None = None,
     started: float | None = None,
     stopped: float | None = None,
 ) -> ExperimentRecord:
-    """One study row: ``y`` evaluated at ``k`` in ``mode``.
+    """One study row: ``y`` evaluated at ``k`` in ``auto`` mode (exact up to
+    ``ODDSET_EXACT_CAP`` nodes, so on every oracle study instance).
 
     ``y is None`` (an exact solve found no feasible assignment) gives the
     row of an infeasible optimum: every load and the ratio ``inf``, ``beta``
@@ -205,8 +193,8 @@ def make_record(
         m1 = m2_lo = m2_hi = cap_lo = cap_hi = ratio = math.inf
         beta, feasible = -math.inf, "no"
     else:
-        rec = recovery_capacity(net, y, k, mode=mode)
-        feas = feasibility_ratio(net, y, mode=mode)
+        rec = recovery_capacity(net, y, k)
+        feas = feasibility_ratio(net, y)
         m1 = rec.m1
         m2_lo, m2_hi = rec.m2_lo, rec.m2_hi
         cap_lo, cap_hi = float(rec.capacity_lo), float(rec.capacity_hi)
@@ -289,7 +277,7 @@ def _scaling_task(args: tuple) -> list[ExperimentRecord]:
     started = time.perf_counter()
     net = generate_instance(spec, seed)
     y = ifa_assign(net)
-    return [make_record(instance_id, seed, net, k, "ifa", y, "auto", started=started)]
+    return [make_record(instance_id, seed, net, k, "ifa", y, started=started)]
 
 
 def _oracle_task(args: tuple) -> list[ExperimentRecord]:
@@ -310,13 +298,11 @@ def _oracle_task(args: tuple) -> list[ExperimentRecord]:
         out.append(
             make_record(
                 instance_id, seed, net, k, "optimal", opt.best_assignment,
-                "exact", opt.proven_optimal,
-                started=started, stopped=time.perf_counter(),
+                opt.proven_optimal, started=started, stopped=time.perf_counter(),
             )
         )
         out += [
-            make_record(instance_id, seed, net, k, name, y, "exact")
-            for name, y in schemes
+            make_record(instance_id, seed, net, k, name, y) for name, y in schemes
         ]
     return out
 

@@ -365,6 +365,16 @@ def max_odd_set_load_bracket(
 # -- recovery capacity ----------------------------------------------------
 
 
+def _witness_json(witness: NamedTuple | None) -> dict | None:
+    """A witness's fields by name, tuples as lists."""
+    if witness is None:
+        return None
+    return {
+        name: list(v) if isinstance(v, tuple) else v
+        for name, v in witness._asdict().items()
+    }
+
+
 @dataclass(frozen=True)
 class RecoveryReport:
     """Recovery capacity of one assignment at preemption level k.
@@ -410,21 +420,9 @@ class RecoveryReport:
             out["m2_hi"] = self.m2_hi
             out["capacity"] = [self.capacity_lo, self.capacity_hi]
         out["k"] = self.k
-        if self.witness_m1 is not None:
-            out["witness_m1"] = {
-                "node": self.witness_m1.node,
-                "channels": list(self.witness_m1.channels),
-            }
-        else:
-            out["witness_m1"] = None
+        out["witness_m1"] = _witness_json(self.witness_m1)
         if self.mode == "exact":
-            if self.witness_m2 is not None:
-                out["witness_m2"] = {
-                    "nodes": list(self.witness_m2.nodes),
-                    "channels": list(self.witness_m2.channels),
-                }
-            else:
-                out["witness_m2"] = None
+            out["witness_m2"] = _witness_json(self.witness_m2)
         out["mode"] = self.mode
         return out
 

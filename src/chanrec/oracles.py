@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .assign import greedy_assign, ifa_assign, random_assign
-from .metrics import ODDSET_EXACT_CAP, TOL, _odd_masks, capacity_floor
+from .metrics import ODDSET_EXACT_CAP, TOL, _odd_masks, _topk_sum, capacity_floor
 from .netmodel import ChannelAssignment, Network
 
 DEFAULT_LEAF_BUDGET = 10_000_000
@@ -153,14 +153,12 @@ def _margin(net: Network, member: np.ndarray, limits: np.ndarray) -> _Problem:
         wloads[v][ww] -= p
 
     def leaf(a, state):
-        if not len(member):
-            return -state[1]
         onehot = np.zeros(rho.shape)
         onehot[idx, a] = rho[idx, a]
-        loads = member @ onehot
+        # as feasibility_ratio divides: limits >= 1, so an unloaded cell is inf
         with np.errstate(divide="ignore"):
-            margins = np.where(loads > 0.0, limits[:, None] / loads, math.inf)
-        return -min(state[1], float(margins.min()))
+            margins = limits[:, None] / (member @ onehot)
+        return -min(state[1], float(margins.min(initial=math.inf)))
 
     return _Problem(place, unplace, leaf, -math.inf, -math.inf)
 
@@ -222,14 +220,10 @@ def _capacity(
         if feasible is not None and -feasible.leaf(a, state) < 1.0 - TOL:
             return math.inf
         m1 = max(sum(sorted(lv)[cut:]) for lv in loads)
-        if not len(member_cap):
-            return max(m1, 0.0)
         onehot = np.zeros((len(a), w))
         onehot[np.arange(len(a)), a] = net.demand_array
-        oddset = member_cap @ onehot
-        if cut:
-            oddset = np.sort(oddset, axis=1)[:, cut:]
-        return max(m1, float((scale_cap * oddset.sum(axis=1)).max()))
+        oddset = scale_cap * _topk_sum(member_cap @ onehot, k_eff)
+        return max(m1, float(oddset.max(initial=0.0)))
 
     z1_min = -math.inf if feasible is None else 1.0 - TOL
     return _Problem(place, unplace, leaf, floor, z1_min)

@@ -119,7 +119,7 @@ def test_non_finite_and_overflowing_numbers_exit_2(
     if command == "study":
         argv = [
             "study", "--kind", "scaling", "--sizes", "5", "--channels", "2",
-            "--trials", "1", "--uniform-demand", "inf",
+            "--trials", "1", "--demand-range", "inf", "inf",
         ]
     else:
         doc = {
@@ -267,22 +267,11 @@ def test_study_generator_flags_reach_every_kind(tmp_path):
 
     out = tmp_path / "g.csv"
     gap = ["study", "--kind", "gap", "--sizes", "6", "--channels", "3", "--trials", "2"]
-    assert main(gap + ["--uniform-demand", "5", "--degree-cap", "2", "--out", str(out)]) == 0
+    assert main(gap + ["--demand-range", "5", "5", "--degree-cap", "2", "--out", str(out)]) == 0
     rows = _csv_rows(out)
     assert rows and all(
         float(row["l_tot"]) == 5.0 * int(row["n_edges"]) for row in rows
     )
-
-
-def test_study_demand_flags_are_mutually_exclusive(capsys):
-    argv = [
-        "study", "--kind", "traffic", "--sizes", "6", "--channels", "2",
-        "--uniform-demand", "5", "--demand-range", "1", "2",
-    ]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "not allowed with argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
