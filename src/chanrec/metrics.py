@@ -33,7 +33,8 @@ endpoints), and the odd subsets are then read off it (``_oddset_loads``).
 ``"bracket"`` lists the 3-node sets with two or three edges, from a wedge
 table whose rows add their edges in edge-index order as the lattice does
 (``_triple_loads``), so its odd-set end (``m2_lo``, ``z2_hi``) matches exact
-mode over those sets bit for bit; the node term bounds the other end.
+mode over those sets bit for bit; the node term bounds the other end, except
+below 5 nodes, where every odd set has 3 nodes and both ends are exact.
 ``"auto"`` is exact up to ``ODDSET_EXACT_CAP`` nodes and bracket above.  An
 explicit ``"exact"`` runs up to ``ODDSET_CAP_LIMIT`` nodes and is refused
 above that before anything is allocated: the enumeration allocates arrays of
@@ -299,6 +300,12 @@ def _odd_rows(
     return None, 3, _triple_loads(net, y, weights)
 
 
+def _lists_every_odd_set(net: Network, mode: str) -> bool:
+    """True iff ``mode`` lists every odd set: exact mode, or bracket mode
+    below 5 nodes, where every odd set has 3 nodes."""
+    return mode == "exact" or net.n_nodes < 5
+
+
 def _bracket_factor(net: Network, y: ChannelAssignment) -> float:
     """Odd-set over node term bound for the sets bracket mode leaves out."""
     return 1.25 if is_proper_labeling(net, y.channel_of) else 1.5
@@ -311,8 +318,9 @@ def _odd_set_term(
 
     lo is the largest ``2/(|U|-1)`` times top-k load over the listed sets
     (and the largest demand).  In exact mode hi = lo and the witness is the
-    lexicographically first set attaining it; in bracket mode hi comes from
-    the node term ``m1`` of (y, k), and there is no witness.
+    lexicographically first set attaining it.  Bracket mode has no witness,
+    and hi = lo where it lists every odd set; elsewhere hi comes from the node
+    term ``m1`` of (y, k).
     """
     if net.n_edges == 0 or net.n_nodes < 3:
         # no odd sets at all, so the odd-set term is exactly zero
@@ -324,6 +332,8 @@ def _odd_set_term(
     values *= 2.0 / (sizes - 1)  # in place: bracket mode's x 1.0 allocates nothing
     lo = float(np.max(values, initial=demands.max()))
     if mode == "bracket":
+        if _lists_every_odd_set(net, mode):
+            return lo, lo, None
         return lo, max(lo, _bracket_factor(net, y) * m1), None
     nodes, _, row = _first_odd_set(masks, (values == lo)[:, None])
     return lo, lo, OddSetLoadWitness(nodes, _best_channel_set(loads[row], k_eff))
@@ -352,10 +362,10 @@ def max_odd_set_load_bracket(
     """Certified [lo, hi] bounds on the odd-set term.
 
     lo is the exact odd-set term over 3-node subsets, bit for bit as exact
-    mode computes it there.  hi comes from the node term: the odd-set term
-    never exceeds 1.5x the node term, and for interference-free assignments
-    the contribution of subsets of 5+ nodes never exceeds 1.25x the node
-    term.
+    mode computes it there.  Below 5 nodes every odd set has 3 nodes, so hi =
+    lo.  Elsewhere hi comes from the node term: the odd-set term never
+    exceeds 1.5x the node term, and for interference-free assignments the
+    contribution of subsets of 5+ nodes never exceeds 1.25x the node term.
     """
     m1, _ = max_node_load(net, y, k)
     lo, hi, _ = _odd_set_term(net, y, k, "bracket", m1)
@@ -544,7 +554,9 @@ def feasibility_ratio(
         if mode == "exact" and z2 < math.inf:
             nodes, w, _ = _first_odd_set(masks, margins == z2)
             wit2 = OddSetConstraintWitness(nodes, w)
-    z2_lo = z2 if mode == "exact" else min(z2, (1.0 / _bracket_factor(net, y)) * z1)
+    z2_lo = z2
+    if not _lists_every_odd_set(net, mode):
+        z2_lo = min(z2, (1.0 / _bracket_factor(net, y)) * z1)
     return FeasibilityReport(
         mode=mode, z1=z1, witness_z1=wit1, z2_lo=z2_lo, z2_hi=z2, witness_z2=wit2
     )

@@ -81,11 +81,14 @@ class Network:
         if ok:
             u, v = ends.T
             key = np.sort(u * n + v)  # unique iff no edge repeats, given u < v < n
+            with np.errstate(over="ignore", under="ignore"):
+                rho = demand[:, None] / cap.T
             ok = bool(
                 (0 <= u).all() and (u < v).all() and (v < n).all()
                 and (key[1:] > key[:-1]).all()
                 and ((demand > 0.0) & (demand < math.inf)).all()
                 and ((cap > 0.0) & (cap < math.inf)).all()
+                and ((rho > 0.0) & (rho < math.inf)).all()
             )
         total = sum(self.demands) if ok else math.inf
         if not total < math.inf:
@@ -96,7 +99,7 @@ class Network:
             "edge_array": ends,
             "demand_array": demand,
             "capacity_array": cap,
-            "rho": demand[:, None] / cap.T,
+            "rho": rho,
             "node_demand": node_demand,
         }
         for name, a in arrays.items():
@@ -138,6 +141,15 @@ class Network:
                 _require(isinstance(c, numbers.Real), f"{where}: non-numeric capacity")
                 if not 0.0 < c < math.inf:
                     raise _not_positive_finite(c, where, "capacity")
+        try:
+            for wi, row in enumerate(self.capacity):
+                for i, c in enumerate(row):
+                    _require(
+                        0.0 < self.demands[i] / c < math.inf,
+                        f"capacity[{wi}][{i}]: demand over capacity out of range",
+                    )
+        except OverflowError:  # an int beyond float range, see below
+            pass
         # entries that pass one by one but form no numeric array, such as an
         # int beyond float range
         raise FormatError("network: entries do not form numeric arrays")

@@ -110,3 +110,45 @@ def test_compare_leaves_out_seeds_with_an_incorrect_side():
         "tasks_per_cpu_s": {"median_ratio": 1.1, "head_better": 1, "pairs": 1},
         "task_cpu_ms_p50": {"median_ratio": 1.25, "head_better": 0, "pairs": 1},
     }
+
+
+FAKE_RUN = '''\
+import json, sys
+print(json.dumps({"meta": {"rounds": 1}}))
+print("a line before the result")
+mode = open(__file__.replace("run.py", "mode.txt")).read()
+if mode == "no-result":
+    print("not a result line")
+else:
+    metrics = {"tasks_per_cpu_s": {"value": 1.0, "unit": "1/s"}}
+    if mode == "all":
+        metrics["setup_s"] = {"value": 0.5, "unit": "s"}
+    print(json.dumps({"correct": True, "metrics": metrics}))
+'''
+
+
+@pytest.mark.parametrize(
+    "mode, correct, missing",
+    [("all", True, None), ("lacks-one", False, ["setup_s"]),
+     ("no-result", False, ["tasks_per_cpu_s", "setup_s"])],
+)
+def test_run_lacking_a_listed_metric_is_not_correct(tmp_path, mode, correct, missing):
+    # a fake perfbench/run.py that exits 0 with correct: true every time
+    bench_record = load_bench_record()
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(FAKE_RUN)
+    (tmp_path / "perfbench" / "mode.txt").write_text(mode)
+    run = bench_record._run(str(tmp_path), "scaling", 1, 0, ["tasks_per_cpu_s", "setup_s"])
+    assert (run["exit_code"], run["correct"]) == (0, correct)
+    assert run.get("missing_metrics") == missing
+    if correct:
+        assert "stdout_tail" not in run
+    else:
+        tail = run["stdout_tail"]
+        assert tail[:2] == ['{"meta": {"rounds": 1}}', "a line before the result"]
+        assert len(tail) == 3 and (mode != "no-result" or tail[-1] == "not a result line")
+    side = bench_record._side([run], run, {"tasks_per_cpu_s": "1/s", "setup_s": "s"})
+    assert side["correct"] is correct
+    for kept in (side["runs"][0], side["per_layer"]):
+        assert kept.get("missing_metrics") == missing
+        assert ("stdout_tail" in kept) is not correct

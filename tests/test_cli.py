@@ -145,6 +145,31 @@ def test_non_finite_and_overflowing_numbers_exit_2(
     assert captured.err.startswith("error: ") and msg in captured.err
 
 
+@pytest.mark.parametrize(
+    "demand, capacity, flags",
+    [
+        (1e-300, 1e30, ["--demand-range", "1e-300", "1e-300", "--capacity-range", "1e30", "1e30"]),
+        (1.0, 1e-310, ["--capacity-range", "1e-310", "1e-310"]),
+    ],
+)
+def test_ratios_out_of_float_range_exit_2(tmp_path, capsys, demand, capacity, flags):
+    # demand / capacity leaves float range: eval on such a network file, and
+    # a study whose generator draws one
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({
+        "nodes": ["a", "b"], "channels": ["w0"],
+        "edges": [{"u": "a", "v": "b", "demand": demand}], "capacity": capacity,
+    }))
+    y = tmp_path / "y.json"
+    y.write_text(json.dumps({"assignment": {"0": "w0"}}))
+    study = ["study", "--kind", "traffic", "--sizes", "5", "--channels", "2", "--trials", "2"]
+    for argv in (["eval", "--net", str(net), "--assignment", str(y)], study + flags):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: capacity[0][0]: demand over capacity out of range\n"
+
+
 def test_non_string_names_exit_2_without_traceback(tmp_path, k3_file):
     # a JSON array where a node or channel name belongs
     doc = json.loads(open(k3_file).read())

@@ -543,8 +543,8 @@ def test_node_loads_match_per_edge_loop_bitwise(data):
 
 
 @st.composite
-def net_and_assignment(draw, homogeneous=False, bipartite=False):
-    n = draw(st.integers(min_value=2, max_value=7))
+def net_and_assignment(draw, homogeneous=False, bipartite=False, max_nodes=7):
+    n = draw(st.integers(min_value=2, max_value=max_nodes))
     w = draw(st.integers(min_value=1, max_value=4))
     side = draw(st.lists(st.booleans(), min_size=n, max_size=n)) if bipartite else None
     pairs = [
@@ -629,11 +629,14 @@ def test_bracket_contains_exact_value(data):
 def test_bracket_ends_pinned_bit_for_bit(data):
     # each end of both brackets as one float expression over the lattice's
     # 3-node rows; z1 / f in place of (1.0 / f) * z1 differs in the last bit
-    # for some z1
+    # for some z1.  Below 5 nodes every odd set has 3 nodes, and the node
+    # term bounds neither end.
     net, y, _ = data
     f = 1.25 if is_interference_free(net, y) else 1.5
+    small = net.n_nodes < 5
     feas = feasibility_ratio(net, y, mode="bracket")
-    assert feas.z2_lo.hex() == min(feas.z2_hi, (1.0 / f) * feas.z1).hex()
+    want = feas.z2_hi if small else min(feas.z2_hi, (1.0 / f) * feas.z1)
+    assert feas.z2_lo.hex() == want.hex()
     if net.n_edges == 0 or net.n_nodes < 3:
         assert feas.z2_hi == math.inf
         assert all(max_odd_set_load_bracket(net, y, k) == (0.0, 0.0) for k in (1, 2, 3))
@@ -646,10 +649,25 @@ def test_bracket_ends_pinned_bit_for_bit(data):
         want = float(np.max(top[:, min(k, net.n_channels) - 1], initial=demands.max()))
         assert m2_lo.hex() == want.hex(), k
         m1, _ = max_node_load(net, y, k)
-        assert m2_hi.hex() == max(m2_lo, f * m1).hex(), k
+        assert m2_hi.hex() == (m2_lo if small else max(m2_lo, f * m1)).hex(), k
     rho = net.rho[np.arange(net.n_edges), y.channel_of]
     top_rho = float(np.max(_lattice_triples(net, y, rho), initial=rho.max()))
     assert feas.z2_hi.hex() == (1.0 / top_rho).hex()
+
+
+@given(net_and_assignment(max_nodes=4))
+def test_bracket_is_exact_below_five_nodes(data):
+    # every odd set has 3 nodes there, and bracket mode lists them all
+    net, y, k = data
+    exact = recovery_capacity(net, y, k, mode="exact")
+    br = recovery_capacity(net, y, k, mode="bracket")
+    assert br.m2_lo.hex() == br.m2_hi.hex() == exact.m2.hex()
+    assert [c.hex() for c in br.capacity] == [exact.capacity.hex()] * 2
+    exact_feas = feasibility_ratio(net, y, mode="exact")
+    br_feas = feasibility_ratio(net, y, mode="bracket")
+    assert br_feas.z2_lo.hex() == br_feas.z2_hi.hex() == exact_feas.z2.hex()
+    assert [b.hex() for b in br_feas.beta] == [exact_feas.beta.hex()] * 2
+    assert br_feas.feasible == exact_feas.feasible
 
 
 @given(net_and_assignment())

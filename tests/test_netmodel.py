@@ -105,6 +105,27 @@ def test_network_rejects_bad_input():
         make_network(3, [(0, 1)], [1.0], 1, capacity=2**1100)
 
 
+def test_network_refuses_ratios_out_of_float_range():
+    # rho = demand / capacity underflows to 0 or overflows to inf, although
+    # both numbers are positive and finite; the first bad pair is named
+    msg = r"^capacity\[{}\]\[{}\]: demand over capacity out of range$"
+    with np.errstate(all="raise"):  # and no floating-point warning on the way
+        with pytest.raises(FormatError, match=msg.format(0, 0)):
+            make_network(2, [(0, 1)], [1e-300], 1, capacity=1e30)
+        with pytest.raises(FormatError, match=msg.format(0, 0)):
+            make_network(2, [(0, 1)], [1.0], 1, capacity=1e-310)
+        with pytest.raises(FormatError, match=msg.format(1, 2)):
+            make_network(
+                4, [(0, 1), (1, 2), (2, 3)], [1.0, 1.0, 1e-300], 2,
+                capacity=[[1.0, 1.0, 1.0], [1.0, 1e-300, 1e30]],
+            )
+        # a subnormal ratio is still positive
+        assert make_network(2, [(0, 1)], [1e-300], 1, capacity=1e10).rho[0, 0] > 0.0
+    # an int beyond float range still gets the array message
+    with pytest.raises(FormatError, match="do not form numeric arrays"):
+        Network(("a", "b"), ("w",), ((0, 1),), (2**1100,), ((1.0,),))
+
+
 def test_network_rejects_non_finite_numbers():
     for bad in (math.inf, math.nan):
         with pytest.raises(FormatError, match="non-finite demand"):

@@ -13,7 +13,11 @@ first seed, then writes one JSON file with:
   thread settings);
 * per workload, the median, first and third quartile and spread of every
   end-to-end metric over the correct runs, each run's seed, exit code,
-  correctness and values, and whether every run was correct;
+  correctness and values, and whether every run was correct.  A run is
+  correct when it exits 0 with ``correct: true`` and its result holds every
+  metric ``BENCHMARK.json`` lists for its kind (``end_to_end`` untraced,
+  ``per_layer`` traced); a run that is not correct also keeps the names of
+  the listed metrics it lacks and the last lines of its stdout;
 * per workload, the traced per-layer metrics and the round count they cover;
 * with ``--tier1``, the wall time, exit code and summary line of the Tier-1
   command ``python -m pytest -q --continue-on-collection-errors``, run
@@ -57,6 +61,7 @@ MACHINE_KEYS = ("nproc", "cpu", "python", "numpy", "blas", "thread_env")
 EXPORT = ("src", "tests", "tools", "pyproject.toml")
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 SUMMARY = re.compile(r" in \d+(\.\d+)?s( \(\d+:\d\d:\d\d\))?$")
+STDOUT_TAIL = 5  # stdout lines kept of a run that is not correct
 
 
 def _seeds(text: str) -> list[int]:
@@ -114,9 +119,10 @@ def export_base(sha: str, dest: str) -> None:
     shutil.copy2(os.path.join(ROOT, "BENCHMARK.json"), dest)
 
 
-def _run(root: str, workload: str, seed: int, trace: int) -> dict:
+def _run(root: str, workload: str, seed: int, trace: int, wanted: list[str]) -> dict:
     """One ``perfbench/run.py`` run in the tree at ``root``: its exit code,
-    ``meta`` line and result line (``correct`` false when it has none)."""
+    ``meta`` line and result line.  ``correct`` is false when the result line
+    is missing or lacks one of the ``wanted`` metrics."""
     proc = subprocess.run(
         [sys.executable, os.path.join(root, "perfbench", "run.py"), "--workload", workload,
          "--seed", str(seed), "--trace", str(trace)],
@@ -128,13 +134,23 @@ def _run(root: str, workload: str, seed: int, trace: int) -> dict:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         result = {}
-    ok = proc.returncode == 0 and bool(metas) and result.get("correct") is True
+    metrics = {m: v["value"] for m, v in result.get("metrics", {}).items()}
+    missing = [m for m in wanted if m not in metrics]
+    ok = (proc.returncode == 0 and bool(metas) and result.get("correct") is True
+          and not missing)
+    run = {"seed": seed, "exit_code": proc.returncode, "correct": ok,
+           "meta": metas[0] if metas else None, "metrics": metrics}
     if not ok:
         print(f"{workload} seed {seed} in {root}: exit {proc.returncode}, not correct\n"
               f"{proc.stderr[-2000:]}", file=sys.stderr)
-    metrics = {m: v["value"] for m, v in result.get("metrics", {}).items()}
-    return {"seed": seed, "exit_code": proc.returncode, "correct": ok,
-            "meta": metas[0] if metas else None, "metrics": metrics}
+        run.update(missing_metrics=missing, stdout_tail=lines[-STDOUT_TAIL:])
+    return run
+
+
+def _outcome(run: dict) -> dict:
+    """What a run's record keeps of it besides its metrics."""
+    keys = ("seed", "exit_code", "correct", "missing_metrics", "stdout_tail")
+    return {k: run[k] for k in keys if k in run}
 
 
 def _side(runs: list[dict], traced: dict, units: dict) -> dict:
@@ -142,7 +158,7 @@ def _side(runs: list[dict], traced: dict, units: dict) -> dict:
     good = [r for r in runs if r["correct"]]
     return {
         "correct": len(good) == len(runs),
-        "runs": [{k: r[k] for k in ("seed", "exit_code", "correct")} for r in runs],
+        "runs": [_outcome(r) for r in runs],
         # quartiles need two values
         "end_to_end": {
             m: {**(_summary(vals) if len(vals) > 1 else {}), "unit": unit, "values": vals}
@@ -150,9 +166,8 @@ def _side(runs: list[dict], traced: dict, units: dict) -> dict:
             if (vals := [r["metrics"][m] for r in good if m in r["metrics"]])
         },
         "per_layer": {
-            "seed": traced["seed"],
+            **_outcome(traced),
             "rounds": traced["meta"]["rounds"] if traced["meta"] else None,
-            "correct": traced["correct"],
             "metrics": traced["metrics"],
         },
     }
@@ -179,12 +194,13 @@ def _workload(
     """The record of one workload and the ``meta`` line of the head's traced
     run: untraced runs of every seed on every side, alternating the side that
     goes first, then one traced run per side at the first seed."""
+    units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
+    layers = [m["name"] for m in spec["per_layer"]]
     runs: dict[str, list[dict]] = {side: [] for side in roots}
     for i, seed in enumerate(seeds):
         for side in list(roots)[:: 1 if i % 2 == 0 else -1]:
-            runs[side].append(_run(roots[side], name, seed, trace=0))
-    traced = {side: _run(roots[side], name, seeds[0], trace=1) for side in roots}
-    units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
+            runs[side].append(_run(roots[side], name, seed, 0, list(units)))
+    traced = {side: _run(roots[side], name, seeds[0], 1, layers) for side in roots}
     sides = {side: _side(runs[side], traced[side], units) for side in roots}
     meta = traced["head"]["meta"] or {}
     if len(roots) == 1:
