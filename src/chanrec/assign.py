@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -127,22 +126,14 @@ def _invert_path(at: list[list[int]], used: list[int], u0: int, c: int, d: int) 
     used[x] ^= 1 << c | 1 << d
 
 
-def greedy_assign(
-    net: Network, edge_order: Sequence[int] | None = None
-) -> ChannelAssignment:
-    """Process links in order; each takes the channel minimizing the demand
-    already assigned on links sharing either endpoint (ties: lowest channel).
-    The link being placed is not counted, which cannot change the argmin."""
-    if edge_order is None:
-        order = range(net.n_edges)
-    else:
-        if sorted(edge_order) != list(range(net.n_edges)):
-            raise ValueError("edge_order must be a permutation of all edge indices")
-        order = edge_order
+def greedy_assign(net: Network) -> ChannelAssignment:
+    """Process links in index order; each takes the channel minimizing the
+    demand already assigned on links sharing either endpoint (ties: lowest
+    channel).  The link being placed is not counted, which cannot change the
+    argmin."""
     loads = np.zeros((net.n_nodes, net.n_channels))
     channel_of = [-1] * net.n_edges
-    for e in order:
-        u, v = net.edges[e]
+    for e, (u, v) in enumerate(net.edges):
         w = int(np.argmin(loads[u] + loads[v]))
         channel_of[e] = w
         loads[u, w] += net.demands[e]

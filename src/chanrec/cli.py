@@ -4,8 +4,9 @@ Subcommands: ``assign`` (run a heuristic scheme), ``eval`` (recovery capacity
 and feasibility of a given assignment), ``oracle`` (exact branch-and-bound),
 ``study`` (batch experiments to CSV plus a JSON summary).
 
-Exit codes: 0 on success, 2 on usage or input format errors, 3 when an exact
-solve exhausts its node budget and --strict was given.
+Exit codes: 0 on success, 2 on usage or input format errors and on inputs
+too large to allocate, 3 when an exact solve exhausts its node budget and
+--strict was given.
 
 All report output uses fixed 9-decimal floats so repeated runs are
 byte-identical.
@@ -22,18 +23,14 @@ from typing import Sequence
 from .assign import edge_color, greedy_assign, ifa_assign, random_assign, serialize_edge_coloring
 from .experiments import (
     DEFAULT_MASTER_SEED,
+    DEFAULT_STUDY_BUDGET,
     run_gap_study,
     run_scaling_study,
     run_traffic_study,
     write_records_csv,
 )
 from .metrics import feasibility_ratio, recovery_capacity
-from .netmodel import (
-    FormatError,
-    parse_assignment,
-    parse_network,
-    serialize_assignment,
-)
+from .netmodel import parse_assignment, parse_network, serialize_assignment
 from .oracles import (
     DEFAULT_LEAF_BUDGET,
     solve_feasi_exact,
@@ -172,10 +169,8 @@ def _cmd_study(args: argparse.Namespace) -> int:
         records, summary = run_traffic_study(budget=args.budget, **common)
     if args.out:
         write_records_csv(records, args.out)
-    if args.summary:
+    if args.summary or not args.out:
         _write_out(_render(summary) + "\n", args.summary)
-    if not args.out and not args.summary:
-        _write_out(_render(summary) + "\n", None)
     return EXIT_OK
 
 
@@ -190,7 +185,7 @@ _SCOPED_FLAGS = {
     "study": ("kind", {
         "k": (("scaling",), 2),
         "k_values": (("gap",), [1]),
-        "budget": (("gap", "traffic"), 300_000),
+        "budget": (("gap", "traffic"), DEFAULT_STUDY_BUDGET),
     }),
 }
 
@@ -266,7 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--trials", type=_positive_int, default=10)
     p_study.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
     p_study.add_argument(
-        "--budget", type=_positive_int, help="gap and traffic only (default 300000)"
+        "--budget",
+        type=_positive_int,
+        help=f"gap and traffic only (default {DEFAULT_STUDY_BUDGET})",
     )
     p_study.add_argument("--jobs", type=_positive_int, default=1)
     p_study.add_argument("--degree-cap", type=int, default=None)
@@ -286,11 +283,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _scope_flags(args)
         return args.fn(args)
-    except (FormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # a MemoryError is an input too large for the host, such as bracket
+        # mode's n x n edge-id table at a million nodes
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -47,6 +47,8 @@ from .oracles import _check_size, solve_feasi_exact, solve_whiterec_exact
 _MASK64 = (1 << 64) - 1
 
 DEFAULT_MASTER_SEED = 20240611
+# leaf budget of each exact solve in the gap and traffic studies
+DEFAULT_STUDY_BUDGET = 300_000
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -391,7 +393,7 @@ def run_gap_study(
     k_values: Sequence[int],
     trials: int,
     seed: int = DEFAULT_MASTER_SEED,
-    budget: int = 300_000,
+    budget: int = DEFAULT_STUDY_BUDGET,
     jobs: int = 1,
     spec_overrides: dict | None = None,
 ) -> tuple[list[ExperimentRecord], dict]:
@@ -451,7 +453,7 @@ def run_traffic_study(
     channel_counts: Sequence[int],
     trials: int,
     seed: int = DEFAULT_MASTER_SEED,
-    budget: int = 300_000,
+    budget: int = DEFAULT_STUDY_BUDGET,
     jobs: int = 1,
     spec_overrides: dict | None = None,
 ) -> tuple[list[ExperimentRecord], dict]:

@@ -441,10 +441,8 @@ def recovery_capacity(
     net: Network, y: ChannelAssignment, k: int, mode: str = "auto"
 ) -> RecoveryReport:
     """Evaluate the recovery capacity of assignment y at preemption level k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     mode = _resolve_mode(net, mode)
-    m1, wit1 = max_node_load(net, y, k)  # checks y, once
+    m1, wit1 = max_node_load(net, y, k)  # checks y and k, once
     lo, hi, wit2 = _odd_set_term(net, y, k, mode, m1)
     return RecoveryReport(
         k=k, mode=mode, m1=m1, witness_m1=wit1, m2_lo=lo, m2_hi=hi, witness_m2=wit2

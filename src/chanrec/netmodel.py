@@ -53,7 +53,10 @@ class Network:
     and per-channel capacity ``capacity[w][e]``.  Edges are stored with
     integer ends ``u < v`` and no duplicates; demands and capacities are
     positive and finite, and so is the total demand, so no load sum
-    overflows.  The fields are the network's value (equality, hashing, JSON).
+    overflows.  Every ratio ``rho`` (below) is positive, and the largest
+    odd-set limit ``max(1, (n - 1) / 2)`` over it is finite, so no margin
+    overflows either.  The fields are the network's value (equality,
+    hashing, JSON).
 
     Their array form is built once, when the network is made, validated, and
     read-only: ``edge_array`` (m, 2) intp, ``demand_array`` (m,),
@@ -81,14 +84,15 @@ class Network:
         if ok:
             u, v = ends.T
             key = np.sort(u * n + v)  # unique iff no edge repeats, given u < v < n
-            with np.errstate(over="ignore", under="ignore"):
+            with np.errstate(over="ignore", under="ignore", divide="ignore"):
                 rho = demand[:, None] / cap.T
+                slack = max(1.0, (n - 1) / 2) / rho
             ok = bool(
                 (0 <= u).all() and (u < v).all() and (v < n).all()
                 and (key[1:] > key[:-1]).all()
                 and ((demand > 0.0) & (demand < math.inf)).all()
                 and ((cap > 0.0) & (cap < math.inf)).all()
-                and ((rho > 0.0) & (rho < math.inf)).all()
+                and ((rho > 0.0) & (rho < math.inf) & (slack < math.inf)).all()
             )
         total = sum(self.demands) if ok else math.inf
         if not total < math.inf:
@@ -141,11 +145,13 @@ class Network:
                 _require(isinstance(c, numbers.Real), f"{where}: non-numeric capacity")
                 if not 0.0 < c < math.inf:
                     raise _not_positive_finite(c, where, "capacity")
+        limit = max(1.0, (n - 1) / 2)
         try:
             for wi, row in enumerate(self.capacity):
                 for i, c in enumerate(row):
+                    ratio = self.demands[i] / c
                     _require(
-                        0.0 < self.demands[i] / c < math.inf,
+                        0.0 < ratio < math.inf and limit / ratio < math.inf,
                         f"capacity[{wi}][{i}]: demand over capacity out of range",
                     )
         except OverflowError:  # an int beyond float range, see below

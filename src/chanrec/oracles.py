@@ -179,7 +179,6 @@ def _capacity(
     cut = w - k_eff
     edges, dem = net.edges, net.demands
     floor = capacity_floor(net, k)
-    share = (k_eff / w * net.node_demand).tolist()
     loads = [[0.0] * w for _ in range(n)]
 
     # Odd sets whose best contribution cannot exceed the floor never raise
@@ -195,11 +194,7 @@ def _capacity(
         r = dem[e]
         lu[ww] += r
         lv[ww] += r
-        nb = max(
-            lb,
-            max(sum(sorted(lu)[cut:]), share[u]),
-            max(sum(sorted(lv)[cut:]), share[v]),
-        )
+        nb = max(lb, sum(sorted(lu)[cut:]), sum(sorted(lv)[cut:]))
         if nb >= best:
             lu[ww] -= r
             lv[ww] -= r

@@ -3,7 +3,6 @@
 import itertools
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,17 +34,6 @@ def test_greedy_single_edge_and_disjoint_edges():
     assert greedy_assign(single).channel_of == (0,)
     pair = make_network(4, [(0, 1), (2, 3)], [5.0, 9.0], 2)
     assert greedy_assign(pair).channel_of == (0, 0)
-
-
-def test_greedy_respects_explicit_order():
-    star = make_network(4, [(0, 1), (0, 2), (0, 3)], [3.0, 2.0, 1.0], 2)
-    y = greedy_assign(star, edge_order=(2, 1, 0))
-    # e2 first -> w0, e1 sees load 1 on w0 -> w1, e0 sees (1, 2) -> w0
-    assert y.channel_of == (0, 1, 0)
-    with pytest.raises(ValueError):
-        greedy_assign(star, edge_order=(0, 0, 1))
-    with pytest.raises(ValueError):
-        greedy_assign(star, edge_order=(0, 1))
 
 
 def test_greedy_argmin_unchanged_by_counting_the_edge_itself():

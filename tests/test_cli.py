@@ -6,6 +6,7 @@ import math
 import shutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -150,11 +151,12 @@ def test_non_finite_and_overflowing_numbers_exit_2(
     [
         (1e-300, 1e30, ["--demand-range", "1e-300", "1e-300", "--capacity-range", "1e30", "1e30"]),
         (1.0, 1e-310, ["--capacity-range", "1e-310", "1e-310"]),
+        (1e-300, 1e10, ["--demand-range", "1e-300", "1e-300", "--capacity-range", "1e10", "1e10"]),
     ],
 )
 def test_ratios_out_of_float_range_exit_2(tmp_path, capsys, demand, capacity, flags):
-    # demand / capacity leaves float range: eval on such a network file, and
-    # a study whose generator draws one
+    # demand / capacity, or its reciprocal, leaves float range: eval on such a
+    # network file, and a study whose generator draws one
     net = tmp_path / "net.json"
     net.write_text(json.dumps({
         "nodes": ["a", "b"], "channels": ["w0"],
@@ -164,7 +166,9 @@ def test_ratios_out_of_float_range_exit_2(tmp_path, capsys, demand, capacity, fl
     y.write_text(json.dumps({"assignment": {"0": "w0"}}))
     study = ["study", "--kind", "traffic", "--sizes", "5", "--channels", "2", "--trials", "2"]
     for argv in (["eval", "--net", str(net), "--assignment", str(y)], study + flags):
-        assert main(argv) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: capacity[0][0]: demand over capacity out of range\n"
@@ -214,6 +218,30 @@ def test_oddset_cap_over_limit_rejected_before_allocation(tmp_path, capsys, monk
         main(eval_args(3) + ["--oddset-cap", "20"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --oddset-cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "callee, argv",
+    [
+        ("recovery_capacity", ["eval", "--mode", "bracket"]),
+        ("run_scaling_study", ["study", "--kind", "scaling", "--sizes", "9", "--channels", "3"]),
+    ],
+)
+def test_memory_error_exits_2(tmp_path, k3_file, monkeypatch, capsys, callee, argv):
+    # a table too large for the host, such as bracket mode's n x n edge-id
+    # table at a million nodes; raised here without allocating anything
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(f"chanrec.cli.{callee}", out_of_memory)
+    y = tmp_path / "y.json"
+    y.write_text(json.dumps({"assignment": {"0": "w0", "1": "w1", "2": "w2"}}))
+    if argv[0] == "eval":
+        argv = argv + ["--net", k3_file, "--assignment", str(y)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Unable to allocate 7.28 TiB\n"
 
 
 def test_oracle_command(tmp_path, k3_file, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from chanrec.experiments import InstanceSpec, generate_instance
+from chanrec.metrics import feasibility_ratio
 from chanrec.netmodel import (
     ChannelAssignment,
     FormatError,
@@ -119,8 +120,17 @@ def test_network_refuses_ratios_out_of_float_range():
                 4, [(0, 1), (1, 2), (2, 3)], [1.0, 1.0, 1e-300], 2,
                 capacity=[[1.0, 1.0, 1.0], [1.0, 1e-300, 1e30]],
             )
-        # a subnormal ratio is still positive
-        assert make_network(2, [(0, 1)], [1e-300], 1, capacity=1e10).rho[0, 0] > 0.0
+        # a subnormal ratio is positive, but its node margin 1 / rho overflows
+        with pytest.raises(FormatError, match=msg.format(0, 0)):
+            make_network(2, [(0, 1)], [1e-300], 1, capacity=1e10)
+        # an odd-set margin overflows where the node margin does not: the
+        # largest limit (n - 1) / 2 over rho is finite at 11 nodes, not at 13
+        assert 5.0 / 3e-308 < math.inf and 6.0 / 3e-308 == math.inf
+        edge = make_network(11, [(0, 1)], [3e-308], 1)
+        assert edge.rho[0, 0] == 3e-308
+        assert feasibility_ratio(edge, ChannelAssignment((0,))).beta < math.inf
+        with pytest.raises(FormatError, match=msg.format(0, 0)):
+            make_network(13, [(0, 1)], [3e-308], 1)
     # an int beyond float range still gets the array message
     with pytest.raises(FormatError, match="do not form numeric arrays"):
         Network(("a", "b"), ("w",), ((0, 1),), (2**1100,), ((1.0,),))

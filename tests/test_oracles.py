@@ -140,7 +140,8 @@ def _tiny_instances(seed, count, max_edges=7):
 
 def test_whiterec_matches_full_enumeration():
     for i, net in enumerate(_tiny_instances(41, 25)):
-        for k in (1, 2):
+        # |W| <= 3, so k = 3 runs the cut = 0 path
+        for k in (1, 2, 3):
             res = solve_whiterec_exact(net, k)
             assert res.proven_optimal
             best = math.inf
@@ -159,7 +160,8 @@ def test_whiterec_matches_full_enumeration():
 
 def test_whiterecinf_matches_full_enumeration_and_relaxation_order():
     for i, net in enumerate(_tiny_instances(43, 25)):
-        for k in (1, 2):
+        # |W| <= 3, so k = 3 runs the cut = 0 path
+        for k in (1, 2, 3):
             res = solve_whiterecinf_exact(net, k)
             assert res.proven_optimal
             best = min(brute_capacity(net, y, k) for y in all_assignments(net))

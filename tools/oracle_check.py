@@ -1,0 +1,164 @@
+"""Cross-check the exact oracles on the golden instances, solve by solve.
+
+    PYTHONPATH=src python3 tools/oracle_check.py [--out FILE] [--compare FILE]
+
+Solves the 84 seeded networks of ``tests/oracle_golden.json`` with
+``whiterec`` and ``whiterecinf`` at k = 1..4 and with ``feasi``, each at the
+default leaf budget and at ``limit=50``: 18 solves per case, 1,512 in all.
+Per solve it keeps one JSON line: the case index, problem, k (null for
+feasi), limit, the objective as ``float.hex()``, ``explored``,
+``proven_optimal``, the assignment, and the exact metric of that assignment
+(``recovery_capacity(...).capacity``, or ``feasibility_ratio(...).beta`` for
+feasi) as hex with its distance from the objective in ulps.  ``--out FILE``
+writes the lines.
+
+It prints the number of solves, of solves that return an assignment, and of
+those whose objective is not their metric, with the largest distance.
+
+``--compare FILE`` reads the lines of an earlier run, say against another
+revision's ``src/`` on ``PYTHONPATH``, and prints every solve whose
+objective, ``explored``, ``proven_optimal`` or assignment differs, or that
+only one side has; it exits 1 if there is one.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import struct
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
+
+from record_oracle_golden import GOLDEN_PATH, case_network  # noqa: E402
+
+from chanrec.metrics import feasibility_ratio, recovery_capacity  # noqa: E402
+from chanrec.oracles import (  # noqa: E402
+    DEFAULT_LEAF_BUDGET,
+    solve_feasi_exact,
+    solve_whiterec_exact,
+    solve_whiterecinf_exact,
+)
+
+# (problem, k, limit); k is None for feasi
+SOLVES = tuple(
+    (problem, k, limit)
+    for limit in (DEFAULT_LEAF_BUDGET, 50)
+    for problem in ("whiterec", "whiterecinf")
+    for k in (1, 2, 3, 4)
+) + (("feasi", None, DEFAULT_LEAF_BUDGET), ("feasi", None, 50))
+# the fields two runs must agree on
+SAME = ("objective", "explored", "proven_optimal", "assignment")
+
+
+def _ordered(x: float) -> int:
+    """The float's bit pattern as an int that orders as the floats do."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & (2**63 - 1))
+
+
+def ulps(a: float, b: float) -> int | None:
+    """Number of floats from a to b; None if only one of them is finite."""
+    if a == b:
+        return 0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return None
+    return abs(_ordered(a) - _ordered(b))
+
+
+def solve(net, problem: str, k: int | None, limit: int) -> dict:
+    if problem == "whiterec":
+        res = solve_whiterec_exact(net, k, limit=limit)
+    elif problem == "whiterecinf":
+        res = solve_whiterecinf_exact(net, k, limit=limit)
+    else:
+        res = solve_feasi_exact(net, limit=limit)
+    y = res.best_assignment
+    out = {
+        "problem": problem,
+        "k": k,
+        "limit": limit,
+        "objective": res.objective.hex(),
+        "explored": res.explored,
+        "proven_optimal": res.proven_optimal,
+        "assignment": None if y is None else list(y.channel_of),
+        "metric": None,
+        "ulps": None,
+    }
+    if y is not None:
+        if problem == "feasi":
+            metric = feasibility_ratio(net, y, "exact").beta
+        else:
+            metric = recovery_capacity(net, y, k, "exact").capacity
+        out["metric"] = metric.hex()
+        out["ulps"] = ulps(res.objective, metric)
+    return out
+
+
+def check(cases: list[dict]) -> list[dict]:
+    rows = []
+    for i, case in enumerate(cases):
+        net = case_network(case)
+        for problem, k, limit in SOLVES:
+            rows.append(dict(case=i, **solve(net, problem, k, limit)))
+    return rows
+
+
+def _key(row: dict) -> tuple:
+    return row["case"], row["problem"], row["k"], row["limit"]
+
+
+def differences(rows: list[dict], earlier: list[dict]) -> list[str]:
+    """One line per solve that differs between two runs."""
+    old = {_key(r): r for r in earlier}
+    new = {_key(r): r for r in rows}
+    out = []
+    for key in list(new) + [key for key in old if key not in new]:
+        name = "case {} {} k={} limit={}".format(*key)
+        if key not in old or key not in new:
+            out.append(f"{name}: only in the {'new' if key in new else 'earlier'} run")
+            continue
+        moved = [
+            f"{field} {old[key][field]} -> {new[key][field]}"
+            for field in SAME
+            if old[key][field] != new[key][field]
+        ]
+        if moved:
+            out.append(f"{name}: " + ", ".join(moved))
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default=None, help="write one JSON line per solve")
+    parser.add_argument("--compare", default=None, help="lines of an earlier run")
+    args = parser.parse_args(argv)
+
+    with open(GOLDEN_PATH) as fh:
+        rows = check(json.load(fh))
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.writelines(json.dumps(r, separators=(",", ":")) + "\n" for r in rows)
+
+    with_y = [r for r in rows if r["assignment"] is not None]
+    off = [r["ulps"] for r in with_y if r["ulps"] != 0]
+    print(f"solves: {len(rows)}")
+    print(f"with an assignment: {len(with_y)}")
+    worst = "inf" if None in off else max(off, default=0)
+    print(f"objective != metric: {len(off)} (at most {worst} ulps)")
+    if args.compare is None:
+        return 0
+    with open(args.compare) as fh:
+        earlier = [json.loads(line) for line in fh]
+    diff = differences(rows, earlier)
+    for line in diff:
+        print(line)
+    print(f"differing solves: {len(diff)}")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
