@@ -286,7 +286,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError, MemoryError) as exc:
         # a MemoryError is an input too large for the host, such as bracket
         # mode's n x n edge-id table at a million nodes
-        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 
