@@ -30,6 +30,11 @@ either list.  ``"exact"`` lists all odd subsets: per channel, the induced
 loads of all 2^n node subsets are accumulated on a dense subset lattice (each
 edge adds its weight to the quarter of the lattice that contains both
 endpoints), and the odd subsets are then read off it (``_oddset_loads``).
+From 13 nodes up (``_PIN_FROM_NODES``), a node's lattice axis stays pinned
+at its outside half until the channel's first edge at that node, so the
+channel's early edges add to a smaller lattice; the cells filled so far are
+copied across an axis when it is freed, and every load is the same bit for
+bit as without pinning.
 ``"bracket"`` lists the 3-node sets with two or three edges, from a wedge
 table whose rows add their edges in edge-index order as the lattice does
 (``_triple_loads``), so its odd-set end (``m2_lo``, ``z2_hi``) matches exact
@@ -55,9 +60,13 @@ from .netmodel import ChannelAssignment, Network, check_assignment, is_proper_la
 TOL = 1e-9
 ODDSET_EXACT_CAP = 18
 # at n = 22 the subset lattice is 32 MiB of float64, beside the cached odd-mask
-# table (2^21 int64 masks plus their sizes) and 16 MiB of loads per channel;
-# each further node doubles all three
+# table (2^21 int64 masks, 16 MiB, plus their uint8 sizes, 2 MiB) and 16 MiB of
+# loads per channel; each further node doubles all three
 ODDSET_CAP_LIMIT = 22
+# from this many nodes the subset lattice pins the axes of nodes a channel
+# has not yet touched (``_oddset_loads``); below it the copies that free the
+# axes cost more than the smaller quarter adds save
+_PIN_FROM_NODES = 13
 
 IFA_CAPACITY_RATIO_BOUND = 1.25
 
@@ -122,23 +131,11 @@ def _node_loads(
     return np.bincount(cells, np.repeat(weights, 2), n * n_w).reshape(n, n_w)
 
 
-def channel_load_at_node(
-    net: Network, y: ChannelAssignment, node: int, channel: int
-) -> float:
-    """Total demand incident to ``node`` carried on ``channel`` under y."""
-    check_assignment(net, y)
-    if not 0 <= node < net.n_nodes:
-        raise ValueError(f"node index {node} out of range")
-    if not 0 <= channel < net.n_channels:
-        raise ValueError(f"channel index {channel} out of range")
-    return float(_node_loads(net, y, net.demand_array)[node, channel])
-
-
 @lru_cache(maxsize=8)
 def _odd_masks(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Bitmasks of all odd node subsets of size >= 3, with their sizes."""
     masks = np.arange(1 << n_nodes, dtype=np.int64)
-    sizes = np.bitwise_count(masks).astype(np.int64)
+    sizes = np.bitwise_count(masks)  # uint8
     keep = (sizes % 2 == 1) & (sizes >= 3)
     return masks[keep], sizes[keep]
 
@@ -164,26 +161,54 @@ def _oddset_loads(
     n-dimensional 2x...x2 array in which node u is axis n-1-u.  Per channel,
     each edge (u, v) on it adds its weight, in edge-index order, to the
     quarter of the lattice with both u and v inside; the odd masks are then
-    gathered from it.  No BLAS involved, so results are bitwise reproducible.
-    Returns (masks, sizes, loads[n_masks, n_channels]).
+    gathered from it.  From ``_PIN_FROM_NODES`` nodes up, a node's axis stays
+    pinned at index 0 until the channel's first edge at that node: the
+    channel starts from the one cell ``lattice[0]``, the filled slice is
+    copied to the node's side 1 just before that edge adds, and the axes of
+    nodes the channel never touches are spread after its last edge.  Until
+    an edge at the node adds, both sides of its axis hold equal values, so
+    every cell receives the same additions in the same order either way.
+    No BLAS involved, so results are bitwise reproducible.
+    Returns (masks, sizes, loads[n_masks, n_channels]), loads column-major.
     """
     n = net.n_nodes
     masks, sizes = _odd_masks(n)
-    loads = np.zeros((len(masks), net.n_channels))
+    loads = np.zeros((len(masks), net.n_channels), order="F")
     on_channel: list[list[int]] = [[] for _ in range(net.n_channels)]
     for e, c in enumerate(y.channel_of):
         on_channel[c].append(e)
     lattice = np.empty(1 << n)
     cube = lattice.reshape((2,) * n)
+    every = slice(None)
+    pin = n >= _PIN_FROM_NODES
+
+    def free(at: list[slice | int], axis: int) -> None:
+        # copy the filled slice from the pinned axis' side 0 to its side 1
+        side0 = tuple(at)
+        at[axis] = 1
+        cube[tuple(at)] = cube[side0]
+        at[axis] = every
+
     for c, edges in enumerate(on_channel):
         if not edges:
             continue
-        lattice.fill(0.0)
+        # per axis: 0 while the node's axis is pinned, the full slice once free
+        at: list[slice | int] = [0 if pin else every] * n
+        if pin:
+            lattice[0] = 0.0
+        else:
+            lattice.fill(0.0)
         for e in edges:
             u, v = net.edges[e]
-            inside: list[slice | int] = [slice(None)] * n
+            for axis in (n - 1 - u, n - 1 - v):
+                if at[axis] is not every:
+                    free(at, axis)
+            inside = list(at)
             inside[n - 1 - u] = inside[n - 1 - v] = 1
             cube[tuple(inside)] += weights[e]
+        for axis in range(n):
+            if at[axis] is not every:
+                free(at, axis)
         loads[:, c] = lattice[masks]
     return masks, sizes, loads
 
@@ -558,11 +583,6 @@ def feasibility_ratio(
     return FeasibilityReport(
         mode=mode, z1=z1, witness_z1=wit1, z2_lo=z2_lo, z2_hi=z2, witness_z2=wit2
     )
-
-
-def is_feasible(net: Network, y: ChannelAssignment, mode: str = "auto") -> str:
-    """'yes', 'no', or (bracket mode only) 'unknown'."""
-    return feasibility_ratio(net, y, mode).feasible
 
 
 # -- generic floors -------------------------------------------------------

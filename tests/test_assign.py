@@ -6,7 +6,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import brute_m1, edge_color_reference, sequential_proper_assignment
+from brute import (
+    brute_m1,
+    edge_color_reference,
+    node_channel_load,
+    sequential_proper_assignment,
+)
 from chanrec.assign import (
     EdgeColoring,
     edge_color,
@@ -17,7 +22,7 @@ from chanrec.assign import (
     serialize_edge_coloring,
 )
 from chanrec.experiments import InstanceSpec, generate_instance
-from chanrec.metrics import channel_load_at_node, is_interference_free, max_node_load
+from chanrec.metrics import is_interference_free, max_node_load
 from chanrec.netmodel import ChannelAssignment, make_network
 
 
@@ -25,8 +30,8 @@ def test_greedy_star_trace():
     star = make_network(4, [(0, 1), (0, 2), (0, 3)], [3.0, 2.0, 1.0], 2)
     y = greedy_assign(star)
     assert y.channel_of == (0, 1, 1)
-    assert channel_load_at_node(star, y, 0, 0) == 3.0
-    assert channel_load_at_node(star, y, 0, 1) == 3.0
+    assert node_channel_load(star, y, 0, 0) == 3.0
+    assert node_channel_load(star, y, 0, 1) == 3.0
 
 
 def test_greedy_single_edge_and_disjoint_edges():

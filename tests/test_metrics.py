@@ -27,10 +27,8 @@ from chanrec.metrics import (
     ODDSET_EXACT_CAP,
     TOL,
     capacity_floor,
-    channel_load_at_node,
     feasibility_ratio,
     greedy_capacity_ratio_bound,
-    is_feasible,
     is_interference_free,
     max_node_load,
     max_odd_set_load_bracket,
@@ -54,9 +52,15 @@ Y_K3_IF = ChannelAssignment((0, 1, 2))
 def test_channel_load_at_node():
     star = make_network(3, [(0, 1), (0, 2)], [2.0, 3.0], 2)
     y = ChannelAssignment((0, 0))
-    assert channel_load_at_node(star, y, 0, 0) == 5.0
-    assert channel_load_at_node(star, y, 0, 1) == 0.0
-    assert channel_load_at_node(K3_W3, Y_K3_IF, 1, 0) in (0.0, 1.0)
+    assert node_channel_load(star, y, 0, 0) == 5.0
+    assert node_channel_load(star, y, 0, 1) == 0.0
+    assert node_channel_load(K3_W3, Y_K3_IF, 1, 0) in (0.0, 1.0)
+    for net, y in ((star, y), (K3_W3, Y_K3_IF), (PATH, Y_ADJACENT), (PATH, Y_SPREAD)):
+        loads = metrics._node_loads(net, y, net.demand_array)
+        assert loads.tolist() == [
+            [node_channel_load(net, y, v, w) for w in range(net.n_channels)]
+            for v in range(net.n_nodes)
+        ]
 
 
 def test_max_node_load_path():
@@ -225,8 +229,8 @@ def test_feasibility_star_examples():
     assert feasibility_ratio(tight, y, mode="exact").feasible == "no"
     rep = feasibility_ratio(loose, y, mode="exact")
     assert rep.feasible == "yes" and abs(rep.beta_lo - 1.0) < TOL
-    assert is_feasible(loose, y) == "yes"
-    assert is_feasible(tight, y) == "no"
+    assert feasibility_ratio(loose, y).feasible == "yes"
+    assert feasibility_ratio(tight, y).feasible == "no"
 
 
 def test_feasibility_single_link():
@@ -360,19 +364,23 @@ def _direct_oddset_loads(net, y, weights):
 
 def test_oddset_loads_match_direct_per_subset_sums_bitwise():
     # uniform random demands and capacities are not dyadic, so a change in
-    # summation order would change the last bits
+    # summation order would change the last bits; the sizes span both sides
+    # of the size from which the lattice pins untouched nodes' axes
     rng = np.random.default_rng(407)
-    for n in range(3, 13):
+    assert 3 < metrics._PIN_FROM_NODES < 16
+    for n in range(3, 16):
         for w in range(1, 5):
             seed = int(rng.integers(0, 2**63))
             net = generate_instance(InstanceSpec(n_nodes=n, n_channels=w), seed)
             if net.n_edges == 0:
                 continue
-            # the second assignment leaves channel 1 (and 3) without edges
+            # the second assignment leaves channel 1 (and 3) without edges;
+            # the third leaves node 0 without edges on channel w-1 > 0
             sparse = rng.choice(range(0, w, 2), size=net.n_edges)
             for y in (
                 random_assign(net, seed),
                 ChannelAssignment(tuple(int(c) for c in sparse)),
+                ChannelAssignment(tuple(0 if 0 in uv else w - 1 for uv in net.edges)),
             ):
                 for weights in (
                     np.asarray(net.demands),
