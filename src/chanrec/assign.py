@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import ChannelAssignment, Network, is_proper_labeling
+from .netmodel import ChannelAssignment, Network
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,6 @@ class EdgeColoring:
     @property
     def n_colors(self) -> int:
         return max(self.color_of) + 1 if self.color_of else 0
-
-
-def is_proper_edge_coloring(net: Network, coloring: EdgeColoring) -> bool:
-    if len(coloring.color_of) != net.n_edges:
-        return False
-    return is_proper_labeling(net, coloring.color_of)
 
 
 def serialize_edge_coloring(coloring: EdgeColoring) -> str:

@@ -15,6 +15,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -29,7 +30,7 @@ from .experiments import (
     run_traffic_study,
     write_records_csv,
 )
-from .metrics import feasibility_ratio, recovery_capacity
+from .metrics import evaluate
 from .netmodel import parse_assignment, parse_network, serialize_assignment
 from .oracles import (
     DEFAULT_LEAF_BUDGET,
@@ -118,8 +119,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     net = _load_network(args.net)
     with open(args.assignment) as fh:
         y = parse_assignment(fh.read(), net)
-    rec = recovery_capacity(net, y, args.k, mode=args.mode)
-    feas = feasibility_ratio(net, y, mode=args.mode)
+    rec, feas = evaluate(net, y, args.k, mode=args.mode)
     report = rec.to_json_dict()
     report.update(feas.to_json_dict())
     _write_out(_render(report) + "\n", args.out)
@@ -204,7 +204,9 @@ def _scope_flags(args: argparse.Namespace) -> None:
             )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="chanrec",
         description="White-channel assignment and preemption recovery analysis.",

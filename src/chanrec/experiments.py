@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .assign import greedy_assign, ifa_assign, random_assign
-from .metrics import feasibility_ratio, recovery_capacity
+from .metrics import evaluate
 from .netmodel import ChannelAssignment, Network
 from .oracles import _check_size, solve_feasi_exact, solve_whiterec_exact
 
@@ -195,8 +195,7 @@ def make_record(
         m1 = m2_lo = m2_hi = cap_lo = cap_hi = ratio = math.inf
         beta, feasible = -math.inf, "no"
     else:
-        rec = recovery_capacity(net, y, k)
-        feas = feasibility_ratio(net, y)
+        rec, feas = evaluate(net, y, k)
         m1 = rec.m1
         m2_lo, m2_hi = rec.m2_lo, rec.m2_hi
         cap_lo, cap_hi = float(rec.capacity_lo), float(rec.capacity_hi)

@@ -19,27 +19,36 @@ largest factor by which all demands could be multiplied while every node and
 odd-set capacity constraint still holds.  ``beta >= 1`` means the assignment
 is feasible as given.
 
-Both objectives read the same load tables: per node and channel
-(``_node_loads``) and per odd set and channel (``_odd_rows``), weighted by
-demand (``Network.demand_array``) for the capacity and by ``rho = demand /
-capacity`` (``Network.rho``) for the margin.
+Both objectives come from one pass, :func:`evaluate`; ``recovery_capacity``
+and ``feasibility_ratio`` are its two halves.  The node terms read the loads
+per node and channel (``_node_loads``), weighted by demand
+(``Network.demand_array``) for the capacity and by ``rho = demand /
+capacity`` (``Network.rho``) for the margin.  The odd-set terms read both
+weights at once: demand is packed into the real part and the assigned rho
+into the imaginary part of one complex weight vector, and numpy adds complex
+values part by part with the same IEEE additions, so each part is bit for
+bit what that weight alone would give.  Per channel, the odd sets' loads
+are folded into running reductions (``_odd_set_extremes``): the sum of the
+k largest real parts and the largest imaginary part per odd set.  No odd
+set by channel table is kept; an exact-mode witness recomputes the
+per-channel loads of its one set in edge-index order (``_set_loads``).
 
-``mode`` selects how the odd-set term is evaluated, and the two modes differ
-only in which odd sets ``_odd_rows`` lists; one reduction per objective reads
-either list.  ``"exact"`` lists all odd subsets: per channel, the induced
-loads of all 2^n node subsets are accumulated on a dense subset lattice (each
-edge adds its weight to the quarter of the lattice that contains both
-endpoints), and the odd subsets are then read off it (``_oddset_loads``).
-From 13 nodes up (``_PIN_FROM_NODES``), a node's lattice axis stays pinned
-at its outside half until the channel's first edge at that node, so the
-channel's early edges add to a smaller lattice; the cells filled so far are
-copied across an axis when it is freed, and every load is the same bit for
-bit as without pinning.
-``"bracket"`` lists the 3-node sets with two or three edges, from a wedge
-table whose rows add their edges in edge-index order as the lattice does
-(``_triple_loads``), so its odd-set end (``m2_lo``, ``z2_hi``) matches exact
-mode over those sets bit for bit; the node term bounds the other end, except
-below 5 nodes, where every odd set has 3 nodes and both ends are exact.
+``mode`` selects which odd sets are listed; the reductions are the same.
+``"exact"`` lists all odd subsets: per channel, the induced loads of all 2^n
+node subsets are accumulated on a dense subset lattice (each edge adds its
+weight to the quarter of the lattice that contains both endpoints), and the
+odd subsets are gathered off it into one reused column
+(``_lattice_columns``).  From 15 nodes up (``_PIN_FROM_NODES``), a node's
+lattice axis stays pinned at its outside half until the channel's first
+edge at that node, so the channel's early edges add to a smaller lattice;
+the cells filled so far are copied across an axis when it is freed, and
+every load is the same bit for bit as without pinning.
+``"bracket"`` lists the 3-node sets with two or three edges, from one
+complex wedge table whose rows add their edges in edge-index order as the
+lattice does (``_triple_loads``), so its odd-set end (``m2_lo``, ``z2_hi``)
+matches exact mode over those sets bit for bit; the node term bounds the
+other end, except below 5 nodes, where every odd set has 3 nodes and both
+ends are exact.
 ``"auto"`` is exact up to ``ODDSET_EXACT_CAP`` nodes and bracket above.  An
 explicit ``"exact"`` runs up to ``ODDSET_CAP_LIMIT`` nodes and is refused
 above that before anything is allocated: the enumeration allocates arrays of
@@ -51,7 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,14 +68,15 @@ from .netmodel import ChannelAssignment, Network, check_assignment, is_proper_la
 
 TOL = 1e-9
 ODDSET_EXACT_CAP = 18
-# at n = 22 the subset lattice is 32 MiB of float64, beside the cached odd-mask
-# table (2^21 int64 masks, 16 MiB, plus their uint8 sizes, 2 MiB) and 16 MiB of
-# loads per channel; each further node doubles all three
+# at n = 22 the complex subset lattice is 64 MiB, beside the cached odd-mask
+# table (2^21 int64 masks, 16 MiB, plus their uint8 sizes, 2 MiB), one 32 MiB
+# complex column and up to k_eff + 3 float columns of 16 MiB (the running
+# top-k and peak columns and two spares); each further node doubles them all
 ODDSET_CAP_LIMIT = 22
 # from this many nodes the subset lattice pins the axes of nodes a channel
-# has not yet touched (``_oddset_loads``); below it the copies that free the
-# axes cost more than the smaller quarter adds save
-_PIN_FROM_NODES = 13
+# has not yet touched (``_lattice_columns``); below it the copies that free
+# the axes cost more than the smaller quarter adds save
+_PIN_FROM_NODES = 15
 
 IFA_CAPACITY_RATIO_BOUND = 1.25
 
@@ -152,41 +162,46 @@ def _mask_nodes(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _oddset_loads(
+def _lattice_columns(
     net: Network, y: ChannelAssignment, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-channel induced load of every odd subset.
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (channel, induced load of every odd subset) per loaded channel.
 
-    Accumulates on the dense subset lattice: one 2^n buffer, viewed as an
-    n-dimensional 2x...x2 array in which node u is axis n-1-u.  Per channel,
-    each edge (u, v) on it adds its weight, in edge-index order, to the
-    quarter of the lattice with both u and v inside; the odd masks are then
-    gathered from it.  From ``_PIN_FROM_NODES`` nodes up, a node's axis stays
-    pinned at index 0 until the channel's first edge at that node: the
-    channel starts from the one cell ``lattice[0]``, the filled slice is
-    copied to the node's side 1 just before that edge adds, and the axes of
-    nodes the channel never touches are spread after its last edge.  Until
-    an edge at the node adds, both sides of its axis hold equal values, so
-    every cell receives the same additions in the same order either way.
-    No BLAS involved, so results are bitwise reproducible.
-    Returns (masks, sizes, loads[n_masks, n_channels]), loads column-major.
+    Accumulates on the dense subset lattice: one 2^n buffer of the weights'
+    dtype, viewed as an n-dimensional 2x...x2 array in which node u is axis
+    n-1-u.  Per channel, each edge (u, v) on it adds its weight, in edge-index
+    order, to the quarter of the lattice with both u and v inside; the odd
+    masks are then gathered into one column buffer, which is yielded and
+    overwritten by the next channel.  From ``_PIN_FROM_NODES`` nodes up, a
+    node's axis stays pinned at index 0 until the channel's first edge at
+    that node: the channel starts from the one cell ``lattice[0]``, the
+    filled slice is copied to the node's side 1 just before that edge adds,
+    and the axes of nodes the channel never touches are spread after its
+    last edge.  Until an edge at the node adds, both sides of its axis hold
+    equal values, so every cell receives the same additions in the same
+    order either way.  Complex weights add part by part with the same IEEE
+    additions, so each part equals the lattice of that part alone bit for
+    bit.  No BLAS involved, so results are bitwise reproducible.
     """
     n = net.n_nodes
-    masks, sizes = _odd_masks(n)
-    loads = np.zeros((len(masks), net.n_channels), order="F")
+    masks, _ = _odd_masks(n)
     on_channel: list[list[int]] = [[] for _ in range(net.n_channels)]
     for e, c in enumerate(y.channel_of):
         on_channel[c].append(e)
-    lattice = np.empty(1 << n)
+    lattice = np.empty(1 << n, dtype=weights.dtype)
     cube = lattice.reshape((2,) * n)
+    column = np.empty(len(masks), dtype=weights.dtype)
     every = slice(None)
     pin = n >= _PIN_FROM_NODES
 
     def free(at: list[slice | int], axis: int) -> None:
-        # copy the filled slice from the pinned axis' side 0 to its side 1
-        side0 = tuple(at)
+        # copy the filled slice from the pinned axis' side 0 to its side 1;
+        # a ufunc copy, since slice assignment between the interleaved sides
+        # stages a full temporary, and the trailing ... keeps an all-pinned
+        # index a view
+        side0 = cube[(*at, ...)]
         at[axis] = 1
-        cube[tuple(at)] = cube[side0]
+        np.positive(side0, out=cube[(*at, ...)])
         at[axis] = every
 
     for c, edges in enumerate(on_channel):
@@ -205,12 +220,14 @@ def _oddset_loads(
                     free(at, axis)
             inside = list(at)
             inside[n - 1 - u] = inside[n - 1 - v] = 1
-            cube[tuple(inside)] += weights[e]
+            quarter = cube[(*inside, ...)]
+            quarter += weights[e]
         for axis in range(n):
             if at[axis] is not every:
                 free(at, axis)
-        loads[:, c] = lattice[masks]
-    return masks, sizes, loads
+        # masks are always in range; "clip" writes straight into the buffer
+        np.take(lattice, masks, out=column, mode="clip")
+        yield c, column
 
 
 def _topk_sum(loads: np.ndarray, k: int) -> np.ndarray:
@@ -239,8 +256,9 @@ def _triple_loads(
     The sets are listed as wedges, two edges e < f at one node; a triangle
     holds three wedges and is kept once, from its two lowest-index edges.
     Each row adds its edges in edge-index order, as the subset lattice does,
-    so the rows equal the lattice's 3-node rows bit for bit.  Costs
-    O(sum of squared degrees) plus an n x n edge-id table.
+    so the rows equal the lattice's 3-node rows bit for bit.  The table has
+    the weights' dtype and is column-major.  Costs O(sum of squared degrees)
+    plus an n x n edge-id table.
     """
     n, m = net.n_nodes, net.n_edges
     ends = net.edge_array
@@ -262,7 +280,7 @@ def _triple_loads(
     e, f, g = e[keep], f[keep], g[keep]
 
     channel = np.asarray(y.channel_of, dtype=np.int64)
-    loads = np.zeros((len(e), net.n_channels))
+    loads = np.zeros((len(e), net.n_channels), dtype=weights.dtype, order="F")
     rows = np.arange(len(e))
     loads[rows, channel[e]] += weights[e]
     loads[rows, channel[f]] += weights[f]
@@ -271,13 +289,23 @@ def _triple_loads(
     return loads
 
 
-def _first_odd_set(
-    masks: np.ndarray, tied: np.ndarray
-) -> tuple[tuple[int, ...], int, int]:
-    """(nodes, column, row) of the ``tied`` cell (odd set by column) whose
-    node set, then column, is lexicographically first."""
-    rows, cols = np.nonzero(tied)
-    return min((_mask_nodes(masks[i]), int(j), int(i)) for i, j in zip(rows, cols))
+def _set_loads(
+    net: Network, y: ChannelAssignment, weights: np.ndarray, nodes: tuple[int, ...]
+) -> np.ndarray:
+    """Per-channel induced load of one node set, its edges added in
+    edge-index order as the subset lattice adds them, so bit for bit equal
+    to the set's lattice cells."""
+    inside = set(nodes)
+    loads = np.zeros(net.n_channels, dtype=weights.dtype)
+    for e, (u, v) in enumerate(net.edges):
+        if u in inside and v in inside:
+            loads[y.channel_of[e]] += weights[e]
+    return loads
+
+
+def _first_set(masks: np.ndarray, hit: np.ndarray) -> tuple[int, ...]:
+    """Nodes of the lexicographically first set among the ``hit`` rows."""
+    return min(_mask_nodes(masks[i]) for i in np.flatnonzero(hit))
 
 
 def _best_channel_set(loads_row: np.ndarray, k_eff: int) -> tuple[int, ...]:
@@ -313,16 +341,47 @@ def max_node_load(
 # -- odd-set term ---------------------------------------------------------
 
 
-def _odd_rows(
-    net: Network, y: ChannelAssignment, weights: np.ndarray, mode: str
-) -> tuple[np.ndarray | None, np.ndarray | int, np.ndarray]:
-    """(masks, sizes, loads[row, channel]) of the odd sets ``mode`` lists:
-    every odd set in exact mode, and in bracket mode the 3-node sets with two
-    or three edges, without masks.  The reductions add the sets that hold
-    one edge as the largest single weight, a no-op in exact mode."""
+def _odd_set_extremes(
+    net: Network, y: ChannelAssignment, weights: np.ndarray, k_eff: int, mode: str
+) -> tuple[np.ndarray | None, np.ndarray | int, np.ndarray, np.ndarray]:
+    """(masks, sizes, top, peak) over the odd sets ``mode`` lists: every odd
+    set in exact mode (streamed from the lattice, one column per channel),
+    and in bracket mode the 3-node sets with two or three edges (the wedge
+    table's columns), without masks.
+
+    ``weights`` packs two weights into one complex vector.  Per set, ``top``
+    is the sum of its ``k_eff`` largest channel loads of the real part,
+    added in descending order, and ``peak`` its largest channel load of the
+    imaginary part.  Each column is folded in as it comes: inserted into
+    ``k_eff`` running descending columns by max/min, which leaves the same
+    values in the same order as :func:`_topk_sum` over the whole table, and
+    into the running maximum.  Unloaded channels, left out of the stream,
+    are the zeros the running columns start from.
+    """
     if mode == "exact":
-        return _oddset_loads(net, y, weights)
-    return None, 3, _triple_loads(net, y, weights)
+        masks, sizes = _odd_masks(net.n_nodes)
+        rows = len(masks)
+        columns = _lattice_columns(net, y, weights)
+    else:
+        masks, sizes = None, 3
+        table = _triple_loads(net, y, weights)
+        rows = len(table)
+        columns = enumerate(table.T)
+    top = [np.zeros(rows) for _ in range(k_eff)]
+    spare = [np.empty(rows) for _ in range(min(2, k_eff - 1))]
+    peak = np.zeros(rows)
+    for _, column in columns:
+        np.maximum(peak, column.imag, out=peak)
+        carry = column.real
+        for i, kept in enumerate(top[:-1]):
+            np.minimum(kept, carry, out=spare[i % 2])
+            np.maximum(kept, carry, out=kept)
+            carry = spare[i % 2]
+        np.maximum(top[-1], carry, out=top[-1])
+    total = top[0]
+    for kept in top[1:]:
+        total += kept
+    return masks, sizes, total, peak
 
 
 def _lists_every_odd_set(net: Network, mode: str) -> bool:
@@ -336,34 +395,6 @@ def _bracket_factor(net: Network, y: ChannelAssignment) -> float:
     return 1.25 if is_proper_labeling(net, y.channel_of) else 1.5
 
 
-def _odd_set_term(
-    net: Network, y: ChannelAssignment, k: int, mode: str, m1: float
-) -> tuple[float, float, OddSetLoadWitness | None]:
-    """The odd-set term of (y, k) as (lo, hi, witness).
-
-    lo is the largest ``2/(|U|-1)`` times top-k load over the listed sets
-    (and the largest demand).  In exact mode hi = lo and the witness is the
-    lexicographically first set attaining it.  Bracket mode has no witness,
-    and hi = lo where it lists every odd set; elsewhere hi comes from the node
-    term ``m1`` of (y, k).
-    """
-    if net.n_edges == 0 or net.n_nodes < 3:
-        # no odd sets at all, so the odd-set term is exactly zero
-        return 0.0, 0.0, None
-    k_eff = min(k, net.n_channels)
-    demands = net.demand_array
-    masks, sizes, loads = _odd_rows(net, y, demands, mode)
-    values = _topk_sum(loads, k_eff)
-    values *= 2.0 / (sizes - 1)  # in place: bracket mode's x 1.0 allocates nothing
-    lo = float(np.max(values, initial=demands.max()))
-    if mode == "bracket":
-        if _lists_every_odd_set(net, mode):
-            return lo, lo, None
-        return lo, max(lo, _bracket_factor(net, y) * m1), None
-    nodes, _, row = _first_odd_set(masks, (values == lo)[:, None])
-    return lo, lo, OddSetLoadWitness(nodes, _best_channel_set(loads[row], k_eff))
-
-
 def max_odd_set_load_exact(
     net: Network, y: ChannelAssignment, k: int
 ) -> tuple[float, OddSetLoadWitness | None]:
@@ -372,13 +403,8 @@ def max_odd_set_load_exact(
     Refuses networks above ``ODDSET_CAP_LIMIT`` nodes; use
     :func:`max_odd_set_load_bracket` there instead.
     """
-    check_assignment(net, y)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _resolve_mode(net, "exact")
-    # with every odd set listed, the node term bounds nothing
-    lo, _, witness = _odd_set_term(net, y, k, "exact", 0.0)
-    return lo, witness
+    rec, _ = evaluate(net, y, k, "exact")
+    return rec.m2_lo, rec.witness_m2
 
 
 def max_odd_set_load_bracket(
@@ -392,9 +418,8 @@ def max_odd_set_load_bracket(
     exceeds 1.5x the node term, and for interference-free assignments the
     contribution of subsets of 5+ nodes never exceeds 1.25x the node term.
     """
-    m1, _ = max_node_load(net, y, k)
-    lo, hi, _ = _odd_set_term(net, y, k, "bracket", m1)
-    return lo, hi
+    rec, _ = evaluate(net, y, k, "bracket")
+    return rec.m2_lo, rec.m2_hi
 
 
 # -- recovery capacity ----------------------------------------------------
@@ -460,18 +485,6 @@ class RecoveryReport:
             out["witness_m2"] = _witness_json(self.witness_m2)
         out["mode"] = self.mode
         return out
-
-
-def recovery_capacity(
-    net: Network, y: ChannelAssignment, k: int, mode: str = "auto"
-) -> RecoveryReport:
-    """Evaluate the recovery capacity of assignment y at preemption level k."""
-    mode = _resolve_mode(net, mode)
-    m1, wit1 = max_node_load(net, y, k)  # checks y and k, once
-    lo, hi, wit2 = _odd_set_term(net, y, k, mode, m1)
-    return RecoveryReport(
-        k=k, mode=mode, m1=m1, witness_m1=wit1, m2_lo=lo, m2_hi=hi, witness_m2=wit2
-    )
 
 
 # -- feasibility ----------------------------------------------------------
@@ -545,44 +558,97 @@ class FeasibilityReport:
         return out
 
 
-def feasibility_ratio(
-    net: Network, y: ChannelAssignment, mode: str = "auto"
-) -> FeasibilityReport:
-    """Compute the feasibility margins of assignment y."""
-    check_assignment(net, y)
+# -- one pass -------------------------------------------------------------
+
+
+def evaluate(
+    net: Network, y: ChannelAssignment, k: int, mode: str = "auto"
+) -> tuple[RecoveryReport, FeasibilityReport]:
+    """Recovery capacity of y at preemption level k and its feasibility
+    margins, from one odd-set pass.
+
+    Demand (the capacity's weight) is packed into the real part and the
+    assigned ``rho`` (the margins' weight) into the imaginary part of one
+    complex weight vector, so the lattice or the wedge table is built once
+    for both; each part is bit for bit the table of that weight alone.
+    """
     mode = _resolve_mode(net, mode)
+    m1, wit_m1 = max_node_load(net, y, k)  # checks y and k, once
     rho = net.rho[np.arange(net.n_edges), y.channel_of]
 
     # Node margin: smallest slack 1/load over node-channel pairs, the first
     # in row-major order on ties; an unloaded pair has slack inf.
     z1 = math.inf
-    wit1: NodeConstraintWitness | None = None
+    wit_z1: NodeConstraintWitness | None = None
     if net.n_edges:
         with np.errstate(divide="ignore"):
             margins = 1.0 / _node_loads(net, y, rho)
         v, w = divmod(int(margins.argmin()), net.n_channels)
-        z1, wit1 = float(margins[v, w]), NodeConstraintWitness(v, w)
+        z1, wit_z1 = float(margins[v, w]), NodeConstraintWitness(v, w)
 
-    # Odd-set margin: smallest limit (|U|-1)/2 over load among the listed
-    # cells, and 1 over the largest rho for the sets that hold one edge.
-    z2 = math.inf
-    wit2: OddSetConstraintWitness | None = None
+    # Odd-set term: the largest 2/(|U|-1) times top-k demand over the listed
+    # sets, and the largest demand for the sets that hold one edge.  Odd-set
+    # margin: the smallest limit (|U|-1)/2 over load, taken per set as limit
+    # over its largest load (rounded division never grows with the divisor,
+    # so this is the smallest over its channels bit for bit), and 1 over the
+    # largest rho for the sets that hold one edge.
+    m2_lo = m2_hi = 0.0
+    z2_lo = z2_hi = math.inf
+    wit_m2: OddSetLoadWitness | None = None
+    wit_z2: OddSetConstraintWitness | None = None
     if net.n_edges and net.n_nodes >= 3:
-        masks, sizes, loads = _odd_rows(net, y, rho, mode)
-        # >= 1, so an unloaded channel gives inf
-        limits = (np.reshape(sizes, (-1, 1)) - 1) / 2.0
-        with np.errstate(divide="ignore"):
-            margins = limits / loads
-            z2 = float(np.min(margins, initial=1.0 / rho.max()))
-        if mode == "exact" and z2 < math.inf:
-            nodes, w, _ = _first_odd_set(masks, margins == z2)
-            wit2 = OddSetConstraintWitness(nodes, w)
-    z2_lo = z2
-    if not _lists_every_odd_set(net, mode):
-        z2_lo = min(z2, (1.0 / _bracket_factor(net, y)) * z1)
-    return FeasibilityReport(
-        mode=mode, z1=z1, witness_z1=wit1, z2_lo=z2_lo, z2_hi=z2, witness_z2=wit2
+        k_eff = min(k, net.n_channels)
+        demands = net.demand_array
+        weights = np.empty(net.n_edges, dtype=np.complex128)
+        weights.real, weights.imag = demands, rho
+        masks, sizes, top, peak = _odd_set_extremes(net, y, weights, k_eff, mode)
+        limits = (sizes - 1) / 2.0  # >= 1, so an unloaded set gives inf
+        # a tiny demand may scale to a subnormal value, rounded as it should be
+        with np.errstate(divide="ignore", under="ignore"):
+            top *= 2.0 / (sizes - 1)  # in place: bracket mode's x 1.0 allocates nothing
+            peak = np.divide(limits, peak, out=peak)
+        m2_lo = m2_hi = float(np.max(top, initial=demands.max()))
+        z2_lo = z2_hi = float(np.min(peak, initial=1.0 / rho.max()))
+        if mode == "exact":
+            # witnesses: the lexicographically first node set attaining each
+            # extreme (node sets are distinct, so one row), then its channels
+            nodes = _first_set(masks, top == m2_lo)
+            loads = _set_loads(net, y, weights, nodes)
+            wit_m2 = OddSetLoadWitness(nodes, _best_channel_set(loads.real, k_eff))
+            nodes = _first_set(masks, peak == z2_hi)
+            limit = (len(nodes) - 1) / 2.0
+            with np.errstate(divide="ignore"):
+                loads = limit / _set_loads(net, y, weights, nodes).imag
+            wit_z2 = OddSetConstraintWitness(nodes, int(np.argmax(loads == z2_hi)))
+        elif not _lists_every_odd_set(net, mode):
+            factor = _bracket_factor(net, y)
+            m2_hi = max(m2_lo, factor * m1)
+            z2_lo = min(z2_hi, (1.0 / factor) * z1)
+    rec = RecoveryReport(
+        k=k, mode=mode, m1=m1, witness_m1=wit_m1, m2_lo=m2_lo, m2_hi=m2_hi,
+        witness_m2=wit_m2,
     )
+    feas = FeasibilityReport(
+        mode=mode, z1=z1, witness_z1=wit_z1, z2_lo=z2_lo, z2_hi=z2_hi,
+        witness_z2=wit_z2,
+    )
+    return rec, feas
+
+
+def recovery_capacity(
+    net: Network, y: ChannelAssignment, k: int, mode: str = "auto"
+) -> RecoveryReport:
+    """Evaluate the recovery capacity of assignment y at preemption level k
+    (the first half of :func:`evaluate`)."""
+    return evaluate(net, y, k, mode)[0]
+
+
+def feasibility_ratio(
+    net: Network, y: ChannelAssignment, mode: str = "auto"
+) -> FeasibilityReport:
+    """Compute the feasibility margins of assignment y (the second half of
+    :func:`evaluate`, which needs no k)."""
+    return evaluate(net, y, 1, mode)[1]
 
 
 # -- generic floors -------------------------------------------------------

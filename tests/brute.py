@@ -11,7 +11,14 @@ import math
 import numpy as np
 
 from chanrec.assign import EdgeColoring
-from chanrec.netmodel import ChannelAssignment, Network
+from chanrec.netmodel import ChannelAssignment, Network, is_proper_labeling
+
+
+def is_proper_edge_coloring(net, coloring):
+    # one colour per edge, and no two edges alike at a node
+    if len(coloring.color_of) != net.n_edges:
+        return False
+    return is_proper_labeling(net, coloring.color_of)
 
 
 def node_channel_load(net, y, v, w):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from brute import (
     brute_m1,
     edge_color_reference,
+    is_proper_edge_coloring,
     node_channel_load,
     sequential_proper_assignment,
 )
@@ -17,7 +18,6 @@ from chanrec.assign import (
     edge_color,
     greedy_assign,
     ifa_assign,
-    is_proper_edge_coloring,
     random_assign,
     serialize_edge_coloring,
 )

@@ -223,7 +223,7 @@ def test_oddset_cap_over_limit_rejected_before_allocation(tmp_path, capsys, monk
 @pytest.mark.parametrize(
     "callee, argv, message",
     [
-        ("recovery_capacity", ["eval", "--mode", "bracket"], "Unable to allocate 7.28 TiB"),
+        ("evaluate", ["eval", "--mode", "bracket"], "Unable to allocate 7.28 TiB"),
         # Python's own MemoryError may carry no message
         ("run_scaling_study", ["study", "--kind", "scaling", "--sizes", "9", "--channels", "3"], ""),
     ],

@@ -2,6 +2,7 @@
 enumeration, and the stated bounds."""
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -113,6 +114,7 @@ def test_odd_set_cap_limit_checked_before_allocation(monkeypatch):
         lambda: max_odd_set_load_exact(over, y, 1),
         lambda: recovery_capacity(over, y, 1, mode="exact"),
         lambda: feasibility_ratio(over, y, mode="exact"),
+        lambda: metrics.evaluate(over, y, 1, mode="exact"),
     ):
         with pytest.raises(ValueError, match=f"stops at {ODDSET_CAP_LIMIT} nodes"):
             call()
@@ -122,6 +124,7 @@ def test_odd_set_cap_limit_checked_before_allocation(monkeypatch):
         assert rec.mode == "bracket" and rec.capacity == (3.0, 4.5)
         feas = feasibility_ratio(over, y, mode=mode)
         assert feas.mode == "bracket" and feas.feasible == "no"
+        assert metrics.evaluate(over, y, 1, mode=mode) == (rec, feas)
 
 
 def test_exact_reports_match_golden_file():
@@ -155,6 +158,7 @@ def test_each_public_metric_checks_the_assignment_once(monkeypatch):
             lambda: recovery_capacity(net, y, 2, mode=mode),
             lambda: feasibility_ratio(net, y, mode=mode),
             lambda: max_odd_set_load_bracket(net, y, 2),
+            lambda: metrics.evaluate(net, y, 2, mode=mode),
         ):
             calls.update(check=0, node=0)
             call()
@@ -362,10 +366,25 @@ def _direct_oddset_loads(net, y, weights):
     return masks, loads
 
 
+def _lattice_table(net, y, weights):
+    """(masks, sizes, loads[odd set, channel]) gathered from the columns the
+    lattice streams; unloaded channels stay zero."""
+    masks, sizes = metrics._odd_masks(net.n_nodes)
+    loads = np.zeros((len(masks), net.n_channels), dtype=weights.dtype)
+    for c, column in metrics._lattice_columns(net, y, weights):
+        loads[:, c] = column
+    return masks, sizes, loads
+
+
+def _bits(a):
+    return a.view(np.int64)
+
+
 def test_oddset_loads_match_direct_per_subset_sums_bitwise():
     # uniform random demands and capacities are not dyadic, so a change in
     # summation order would change the last bits; the sizes span both sides
-    # of the size from which the lattice pins untouched nodes' axes
+    # of the size from which the lattice pins untouched nodes' axes.  Demand
+    # and rho packed into one complex vector give each part bit for bit.
     rng = np.random.default_rng(407)
     assert 3 < metrics._PIN_FROM_NODES < 16
     for n in range(3, 16):
@@ -382,17 +401,69 @@ def test_oddset_loads_match_direct_per_subset_sums_bitwise():
                 ChannelAssignment(tuple(int(c) for c in sparse)),
                 ChannelAssignment(tuple(0 if 0 in uv else w - 1 for uv in net.edges)),
             ):
-                for weights in (
-                    np.asarray(net.demands),
-                    net.rho[np.arange(net.n_edges), y.channel_of],
-                ):
-                    masks, sizes, loads = metrics._oddset_loads(net, y, weights)
+                demands = np.asarray(net.demands)
+                rho = net.rho[np.arange(net.n_edges), y.channel_of]
+                wants = []
+                for weights in (demands, rho):
+                    masks, sizes, loads = _lattice_table(net, y, weights)
                     want_masks, want = _direct_oddset_loads(net, y, weights)
                     assert masks.tolist() == want_masks, (n, w)
                     assert sizes.tolist() == [m.bit_count() for m in want_masks]
-                    assert np.array_equal(
-                        loads.view(np.int64), want.view(np.int64)
-                    ), (n, w, y)
+                    assert np.array_equal(_bits(loads), _bits(want)), (n, w, y)
+                    wants.append(want)
+                packed = np.empty(net.n_edges, dtype=np.complex128)
+                packed.real, packed.imag = demands, rho
+                _, _, loads = _lattice_table(net, y, packed)
+                assert np.array_equal(_bits(loads.real), _bits(wants[0])), (n, w, y)
+                assert np.array_equal(_bits(loads.imag), _bits(wants[1])), (n, w, y)
+
+
+def test_witnesses_follow_the_tie_rule_on_uniform_networks():
+    # uniform demand and capacity tie many odd sets and channels.  The rule:
+    # the capacity witness is the lexicographically first node set attaining
+    # m2, with the first channel set (in combination order) of largest load;
+    # the margin witness is the first (node set, channel) cell attaining z2.
+    # Bracket mode has no witnesses; its ends are the rule's values over the
+    # 3-node sets.  Demand loads are multiples of 40, so the sums are exact.
+    rng = np.random.default_rng(409)
+    uniform = dict(demand_range=(40.0, 40.0), capacity_range=(150.0, 150.0))
+    for n in range(5, 15):
+        for w in (2, 3, 4):
+            seed = int(rng.integers(0, 2**63))
+            net = generate_instance(InstanceSpec(n, w, **uniform), seed)
+            if net.n_edges == 0:
+                continue
+            for y in (greedy_assign(net), ifa_assign(net), random_assign(net, seed)):
+                demands = np.asarray(net.demands)
+                rho = net.rho[np.arange(net.n_edges), y.channel_of]
+                masks, loads = _direct_oddset_loads(net, y, demands)
+                _, rho_loads = _direct_oddset_loads(net, y, rho)
+                nodes = [tuple(v for v in range(n) if m >> v & 1) for m in masks]
+                triple = np.array([len(u) == 3 for u in nodes])
+                limits = np.array([(len(u) - 1) / 2.0 for u in nodes])
+                with np.errstate(divide="ignore"):
+                    margins = limits[:, None] / rho_loads
+                z2 = min(float(margins.min()), 1.0 / rho.max())
+                z2_hi = min(float(margins[triple].min()), 1.0 / rho.max())
+                cells = zip(*np.nonzero(margins == z2))
+                wit_z2 = min((nodes[i], int(j)) for i, j in cells)
+                for k in (1, 2, 3):
+                    combos = list(itertools.combinations(range(w), min(k, w)))
+                    sums = np.array([loads[:, list(s)].sum(axis=1) for s in combos]).T
+                    values = sums.max(axis=1) * np.array(
+                        [2.0 / (len(u) - 1) for u in nodes]
+                    )
+                    m2 = max(float(values.max()), demands.max())
+                    m2_lo = max(float(values[triple].max()), demands.max())
+                    row = min(np.flatnonzero(values == m2), key=lambda i: nodes[i])
+                    best = combos[int(np.argmax(sums[row] == sums[row].max()))]
+                    rec, feas = metrics.evaluate(net, y, k, mode="exact")
+                    assert (rec.m2, feas.z2) == (m2, z2), (n, w, k)
+                    assert rec.witness_m2 == (nodes[row], best), (n, w, k)
+                    assert feas.witness_z2 == wit_z2, (n, w, k)
+                    rec, feas = metrics.evaluate(net, y, k, mode="bracket")
+                    assert (rec.m2_lo, feas.z2_hi) == (m2_lo, z2_hi), (n, w, k)
+                    assert rec.witness_m2 is None and feas.witness_z2 is None
 
 
 # -- bracket mode reads the lattice's 3-node loads ------------------------
@@ -400,7 +471,7 @@ def test_oddset_loads_match_direct_per_subset_sums_bitwise():
 
 def _lattice_triples(net, y, weights):
     """The subset lattice's rows of the 3-node sets with two or three edges."""
-    masks, sizes, loads = metrics._oddset_loads(net, y, weights)
+    masks, sizes, loads = _lattice_table(net, y, weights)
     keep = []
     for i in np.flatnonzero(sizes == 3):
         nodes = [v for v in range(net.n_nodes) if masks[i] >> v & 1]
@@ -446,7 +517,7 @@ def test_bracket_reads_exact_three_node_loads_bitwise():
                 metrics._triple_loads(net, y, weights),
                 _lattice_triples(net, y, weights),
             )
-        _, sizes, loads = metrics._oddset_loads(net, y, demands)
+        _, sizes, loads = _lattice_table(net, y, demands)
         for k in (1, 2, 3):
             lo, _ = max_odd_set_load_bracket(net, y, k)
             k_eff = min(k, net.n_channels)
@@ -454,7 +525,7 @@ def test_bracket_reads_exact_three_node_loads_bitwise():
             assert lo.hex() == float(want).hex(), (net.n_nodes, net.n_channels, k)
             m2, _ = max_odd_set_load_exact(net, y, k)
             assert lo <= m2
-        _, sizes, rho_loads = metrics._oddset_loads(net, y, rho)
+        _, sizes, rho_loads = _lattice_table(net, y, rho)
         z2_hi = feasibility_ratio(net, y, mode="bracket").z2_hi
         assert z2_hi.hex() == float(1.0 / rho_loads[sizes == 3].max()).hex()
         assert z2_hi >= feasibility_ratio(net, y, mode="exact").z2
