@@ -155,7 +155,8 @@ def _margin(net: Network, member: np.ndarray, limits: np.ndarray) -> _Problem:
     def leaf(a, state):
         onehot = np.zeros(rho.shape)
         onehot[idx, a] = rho[idx, a]
-        # as feasibility_ratio divides: limits >= 1, so an unloaded cell is inf
+        # per cell; the smallest equals the metric's limit over the set's
+        # largest load bit for bit.  limits >= 1, so an unloaded cell is inf
         with np.errstate(divide="ignore"):
             margins = limits[:, None] / (member @ onehot)
         return -min(state[1], float(margins.min(initial=math.inf)))
