@@ -14,7 +14,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -84,7 +84,7 @@ class Network:
         if ok:
             u, v = ends.T
             key = np.sort(u * n + v)  # unique iff no edge repeats, given u < v < n
-            with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            with np.errstate(all="ignore"):  # a bad ratio is refused below
                 rho = demand[:, None] / cap.T
                 slack = max(1.0, (n - 1) / 2) / rho
             ok = bool(
@@ -136,7 +136,11 @@ class Network:
             _require(isinstance(r, numbers.Real), f"edges[{i}]: non-numeric demand")
             if not 0.0 < r < math.inf:
                 raise _not_positive_finite(r, f"edges[{i}]", "demand")
-        _require(sum(self.demands) < math.inf, "demands: total demand overflows")
+        try:
+            total = sum(self.demands)
+        except OverflowError:  # an int beyond float range, see below
+            total = 0.0
+        _require(total < math.inf, "demands: total demand overflows")
         _require(len(self.capacity) == w, "capacity: one row per channel required")
         for wi, row in enumerate(self.capacity):
             _require(len(row) == m, f"capacity[{wi}]: one entry per edge required")
@@ -173,33 +177,6 @@ class Network:
     @property
     def n_channels(self) -> int:
         return len(self.channel_names)
-
-    @cached_property
-    def _incidence(self) -> tuple[tuple[int, ...], ...]:
-        inc: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for e, (u, v) in enumerate(self.edges):
-            inc[u].append(e)
-            inc[v].append(e)
-        return tuple(tuple(es) for es in inc)
-
-    def incident_edges(self, node: int) -> tuple[int, ...]:
-        """Edge indices touching ``node``."""
-        if not 0 <= node < self.n_nodes:
-            raise ValueError(f"node index {node} out of range")
-        return self._incidence[node]
-
-    def induced_edges(self, nodes: Iterable[int]) -> tuple[int, ...]:
-        """Edge indices with both endpoints inside ``nodes``."""
-        s = set(nodes)
-        for v in s:
-            if not 0 <= v < self.n_nodes:
-                raise ValueError(f"node index {v} out of range")
-        return tuple(
-            e for e, (u, v) in enumerate(self.edges) if u in s and v in s
-        )
-
-    def degree(self, node: int) -> int:
-        return len(self.incident_edges(node))
 
     @cached_property
     def max_degree(self) -> int:

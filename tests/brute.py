@@ -11,20 +11,36 @@ import math
 import numpy as np
 
 from chanrec.assign import EdgeColoring
-from chanrec.netmodel import ChannelAssignment, Network, is_proper_labeling
+from chanrec.netmodel import ChannelAssignment, Network
+
+
+def incident_edges(net, v):
+    """Edge indices touching node ``v``, in edge order."""
+    return tuple(e for e, (a, b) in enumerate(net.edges) if v in (a, b))
+
+
+def induced_edges(net, nodes):
+    """Edge indices with both ends in ``nodes``, in edge order."""
+    s = set(nodes)
+    return tuple(e for e, (a, b) in enumerate(net.edges) if a in s and b in s)
+
+
+def degree(net, v):
+    return len(incident_edges(net, v))
 
 
 def is_proper_edge_coloring(net, coloring):
-    # one colour per edge, and no two edges alike at a node
+    # one colour per edge, and no (node, colour) pair twice
     if len(coloring.color_of) != net.n_edges:
         return False
-    return is_proper_labeling(net, coloring.color_of)
+    ends = [(x, c) for uv, c in zip(net.edges, coloring.color_of) for x in uv]
+    return len(set(ends)) == len(ends)
 
 
 def node_channel_load(net, y, v, w):
     return sum(
         net.demands[e]
-        for e in net.incident_edges(v)
+        for e in incident_edges(net, v)
         if y.channel_of[e] == w
     )
 
@@ -44,7 +60,7 @@ def brute_m2(net, y, k, max_size=None):
     best = 0.0
     for size in range(3, top + 1, 2):
         for U in itertools.combinations(range(net.n_nodes), size):
-            induced = net.induced_edges(U)
+            induced = induced_edges(net, U)
             for S in itertools.combinations(range(net.n_channels), kk):
                 tot = sum(net.demands[e] for e in induced if y.channel_of[e] in S)
                 best = max(best, 2.0 * tot / (size - 1))
@@ -61,14 +77,14 @@ def brute_beta(net, y):
         for w in range(net.n_channels):
             load = sum(
                 net.demands[e] / net.capacity[w][e]
-                for e in net.incident_edges(v)
+                for e in incident_edges(net, v)
                 if y.channel_of[e] == w
             )
             if load > 0:
                 z = min(z, 1.0 / load)
     for size in range(3, net.n_nodes + 1, 2):
         for U in itertools.combinations(range(net.n_nodes), size):
-            induced = net.induced_edges(U)
+            induced = induced_edges(net, U)
             for w in range(net.n_channels):
                 load = sum(
                     net.demands[e] / net.capacity[w][e]
@@ -130,7 +146,7 @@ def is_bipartite(net):
         queue = [start]
         while queue:
             v = queue.pop()
-            for e in net.incident_edges(v):
+            for e in incident_edges(net, v):
                 a, b = net.edges[e]
                 u = b if a == v else a
                 if color[u] == -1:
@@ -152,7 +168,7 @@ def sequential_proper_assignment(net, rng):
         used = {
             chan[f]
             for x in (u, v)
-            for f in net.incident_edges(x)
+            for f in incident_edges(net, x)
             if chan[f] != -1
         }
         w = 0
@@ -208,7 +224,8 @@ class _Palette:
 
     def __init__(self, net: Network):
         self.net = net
-        self.n_colors = net.max_degree + 1
+        degrees = [degree(net, v) for v in range(net.n_nodes)]
+        self.n_colors = max(degrees, default=0) + 1
         self.ecolor = [-1] * net.n_edges
         self.at = [dict() for _ in range(net.n_nodes)]  # color -> neighbor
         self.eid = {uv: e for e, uv in enumerate(net.edges)}

@@ -13,7 +13,12 @@ import time
 import numpy as np
 import pytest
 
-from brute import best_partition_value, is_bipartite, sequential_proper_assignment
+from brute import (
+    best_partition_value,
+    incident_edges,
+    is_bipartite,
+    sequential_proper_assignment,
+)
 from conftest import cli_env
 from chanrec.assign import greedy_assign, ifa_assign, random_assign
 from chanrec.experiments import (
@@ -321,7 +326,7 @@ def test_criterion_07_greedy_ratio_and_lower_bound(oracle_pool, capsys):
         rmax = max(max(row) for row in net.capacity)
         assert beta >= rmin / rmax / rho - TOL
         busiest = max(
-            sum(net.demands[e] for e in net.incident_edges(v))
+            sum(net.demands[e] for e in incident_edges(net, v))
             for v in range(net.n_nodes)
         )
         for k in (1, 2, 3):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from brute import (
     brute_m1,
     edge_color_reference,
+    incident_edges,
     is_proper_edge_coloring,
     node_channel_load,
     sequential_proper_assignment,
@@ -81,7 +82,7 @@ def test_edge_color_small_cases():
 def _repeats_at_a_node(net, labels):
     # reference: look at each node's incident labels separately
     for v in range(net.n_nodes):
-        at_v = [labels[e] for e in net.incident_edges(v)]
+        at_v = [labels[e] for e in incident_edges(net, v)]
         if len(set(at_v)) < len(at_v):
             return True
     return False

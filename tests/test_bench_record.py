@@ -1,8 +1,10 @@
-"""The arguments of ``tools/bench_record.py`` and its ``--base`` export."""
+"""The arguments of ``tools/bench_record.py``, its ``--base`` export and its
+run order."""
 
 import argparse
 import filecmp
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -152,3 +154,47 @@ def test_run_lacking_a_listed_metric_is_not_correct(tmp_path, mode, correct, mis
     for kept in (side["runs"][0], side["per_layer"]):
         assert kept.get("missing_metrics") == missing
         assert ("stdout_tail" in kept) is not correct
+
+
+@pytest.mark.parametrize("base", [False, True])
+def test_seeds_run_every_workload_in_turn(monkeypatch, tmp_path, base):
+    # each seed goes through every workload, side order alternating by seed,
+    # and the traced runs come last
+    bench_record = load_bench_record()
+    spec = bench_record._spec()
+    names = [w["name"] for w in spec["workloads"]]
+    listed = [m["name"] for m in spec["end_to_end"] + spec["per_layer"]]
+    calls = []
+
+    def fake_run(root, workload, seed, trace, wanted):
+        side = "head" if root == bench_record.ROOT else "base"
+        calls.append((seed, workload, side, trace))
+        meta = {"rounds": 1, "git_sha": "f" * 40, "git_dirty": False}
+        return {"seed": seed, "exit_code": 0, "correct": True, "meta": meta,
+                "metrics": dict.fromkeys(listed, 1.0)}
+
+    monkeypatch.setattr(bench_record, "_run", fake_run)
+    monkeypatch.setattr(bench_record, "export_base", lambda sha, dest: None)
+    monkeypatch.setattr(bench_record, "_resolve", lambda rev: "0" * 40)
+    out = tmp_path / "bench.json"
+    argv = ["bench_record.py", "--pr", "1", "--seeds", "1-3", "--out", str(out)]
+    monkeypatch.setattr("sys.argv", argv + (["--base", "REV"] if base else []))
+    bench_record.main()
+
+    sides = ["base", "head"] if base else ["head"]
+    want = [
+        (seed, name, side, 0)
+        for i, seed in enumerate((1, 2, 3))
+        for name in names
+        for side in (sides if i % 2 == 0 else sides[::-1])
+    ] + [(1, name, side, 1) for name in names for side in sides]
+    assert calls == want
+    record = json.loads(out.read_text())
+    assert list(record["workloads"]) == names
+    for entry in record["workloads"].values():
+        per_side = [entry[side] for side in sides] if base else [entry]
+        for side in per_side:
+            assert [r["seed"] for r in side["runs"]] == [1, 2, 3]
+            assert side["per_layer"]["seed"] == 1 and side["per_layer"]["rounds"] == 1
+        assert ("compare" in entry) is base
+    assert record["git_sha"] == "f" * 40

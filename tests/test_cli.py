@@ -109,6 +109,7 @@ def test_usage_errors(tmp_path, k3_file):
         ("eval", math.inf, 1.0, "non-finite demand"),
         ("oracle", math.inf, 1.0, "non-finite demand"),
         ("eval", 1.0, math.inf, "non-finite capacity"),
+        ("eval", math.inf, math.inf, "non-finite demand"),  # inf / inf is NaN
         ("eval", 10**400, 1.0, "number out of range"),
         ("eval", math.nan, 1.0, "non-finite demand"),
         ("study", None, None, "< inf"),
@@ -140,7 +141,9 @@ def test_non_finite_and_overflowing_numbers_exit_2(
             argv = ["eval", "--net", str(net), "--assignment", str(y)]
         else:
             argv = ["oracle", "--net", str(net), "--problem", "feasi"]
-    assert main(argv) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and msg in captured.err

@@ -16,6 +16,7 @@ from brute import (
     brute_capacity,
     brute_m1,
     brute_m2,
+    induced_edges,
     is_bipartite,
     node_channel_load,
 )
@@ -361,7 +362,7 @@ def _direct_oddset_loads(net, y, weights):
     masks = [m for m in range(1 << n) if m.bit_count() % 2 and m.bit_count() >= 3]
     loads = np.zeros((len(masks), net.n_channels))
     for i, m in enumerate(masks):
-        for e in net.induced_edges(v for v in range(n) if m >> v & 1):
+        for e in induced_edges(net, (v for v in range(n) if m >> v & 1)):
             loads[i, y.channel_of[e]] += weights[e]
     return masks, loads
 
@@ -475,7 +476,7 @@ def _lattice_triples(net, y, weights):
     keep = []
     for i in np.flatnonzero(sizes == 3):
         nodes = [v for v in range(net.n_nodes) if masks[i] >> v & 1]
-        if len(net.induced_edges(nodes)) >= 2:
+        if len(induced_edges(net, nodes)) >= 2:
             keep.append(i)
     return loads[keep]
 

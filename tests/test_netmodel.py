@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from brute import degree, incident_edges, induced_edges
 from chanrec.experiments import InstanceSpec, generate_instance
 from chanrec.metrics import feasibility_ratio
 from chanrec.netmodel import (
@@ -30,16 +31,11 @@ def test_basic_sizes_and_helpers():
     assert net.n_nodes == 4
     assert net.n_edges == 3
     assert net.n_channels == 2
-    assert net.degree(1) == 2
-    assert net.max_degree == 2
+    assert net.max_degree == degree(net, 1) == 2
     assert net.total_demand == 6.0
-    assert net.incident_edges(1) == (0, 1)
-    assert net.induced_edges([1, 2, 3]) == (1, 2)
-    assert net.induced_edges([0, 3]) == ()
-    with pytest.raises(ValueError):
-        net.incident_edges(4)
-    with pytest.raises(ValueError):
-        net.induced_edges([0, 9])
+    assert incident_edges(net, 1) == (0, 1)
+    assert induced_edges(net, [1, 2, 3]) == (1, 2)
+    assert induced_edges(net, [0, 3]) == ()
 
 
 def test_edges_normalized_by_make_network():
@@ -54,7 +50,7 @@ def test_max_degree_is_the_largest_incidence():
         make_network(6, [(0, 5), (2, 5), (4, 5), (1, 2)], [1.0] * 4, 1),
     ]
     for net in nets:
-        degrees = [len(net.incident_edges(v)) for v in range(net.n_nodes)]
+        degrees = [degree(net, v) for v in range(net.n_nodes)]
         assert net.max_degree == max(degrees, default=0)
         assert type(net.max_degree) is int
 
@@ -89,6 +85,17 @@ def test_network_rejects_bad_input():
         Network(("a", "b"), ("w", "x"), ((0, 1),), (1.0,), ((1.0,), (1.0, 2.0)))
     with pytest.raises(FormatError, match=r"^capacity\[0\]\[0\]: nonpositive capacity$"):
         Network(("a", "b"), ("w", "x"), ((0, 1),), (1.0,), ((-1.0,), (1.0, 2.0)))
+    # row 0's entry before row 1's length
+    with pytest.raises(FormatError, match=r"^capacity\[0\]\[0\]: non-numeric capacity$"):
+        Network(("a", "b"), ("w", "x"), ((0, 1),), (1.0,), (("x",), (1.0, 2.0)))
+    # a value fault before a later ragged edge, and before a later bad demand
+    with pytest.raises(FormatError, match=r"^edges\[0\]: endpoint out of range$"):
+        Network(("a", "b", "c"), ("w",), ((0, 5), (0, 1, 2)), (1.0, 1.0), ((1.0, 1.0),))
+    with pytest.raises(FormatError, match=r"^edges\[0\]: nonpositive demand$"):
+        Network(("a", "b", "c"), ("w",), ((0, 1), (1, 2)), (-1.0, "x"), ((1.0, 1.0),))
+    # an endpoint beyond int64 is out of range, not malformed
+    with pytest.raises(FormatError, match=r"^edges\[0\]: endpoint out of range$"):
+        Network(("a", "b"), ("w",), ((0, 2**70),), (1.0,), ((1.0,),))
     with pytest.raises(FormatError, match="duplicate node name"):
         Network(("a", "a"), ("w",), (), (), ((),))
     # malformed entries of a directly built network
@@ -131,9 +138,12 @@ def test_network_refuses_ratios_out_of_float_range():
         assert feasibility_ratio(edge, ChannelAssignment((0,))).beta < math.inf
         with pytest.raises(FormatError, match=msg.format(0, 0)):
             make_network(13, [(0, 1)], [3e-308], 1)
-    # an int beyond float range still gets the array message
+    # an int beyond float range still gets the array message, also where the
+    # total demand cannot be added up in floats
     with pytest.raises(FormatError, match="do not form numeric arrays"):
         Network(("a", "b"), ("w",), ((0, 1),), (2**1100,), ((1.0,),))
+    with pytest.raises(FormatError, match="do not form numeric arrays"):
+        Network(("a", "b", "c"), ("w",), ((0, 1), (1, 2)), (2**1100, 1.0), ((1.0, 1.0),))
 
 
 def test_network_rejects_non_finite_numbers():
@@ -168,7 +178,7 @@ def test_network_arrays_match_tuple_fields_bitwise():
             [r / row[e] for row in net.capacity] for e, r in enumerate(net.demands)
         ]
         assert net.node_demand.tolist() == [
-            sum(net.demands[e] for e in net.incident_edges(v))
+            sum(net.demands[e] for e in incident_edges(net, v))
             for v in range(net.n_nodes)
         ]
         assert net.total_demand == sum(net.demands)

@@ -13,6 +13,7 @@ from brute import (
     brute_beta,
     brute_capacity,
     brute_m1,
+    incident_edges,
     is_bipartite,
     items_pack,
 )
@@ -184,7 +185,7 @@ def test_lower_bound_on_optimum():
     # k of them carry at least a k/|W| share
     for net in _tiny_instances(53, 20):
         dmax = max(
-            sum(net.demands[e] for e in net.incident_edges(v))
+            sum(net.demands[e] for e in incident_edges(net, v))
             for v in range(net.n_nodes)
         )
         for k in (1, 2):

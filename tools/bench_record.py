@@ -6,7 +6,10 @@
 Run from anywhere inside a source checkout.  For every workload of
 ``BENCHMARK.json`` it runs ``perfbench/run.py --trace 0`` once per seed
 (untraced end-to-end runs) and ``perfbench/run.py --trace 1`` once at the
-first seed, then writes one JSON file with:
+first seed, then writes one JSON file with the record below.  The untraced
+runs go seed by seed, each seed through every workload in turn, so that the
+host's drift over the recording spreads over all workloads; the traced runs
+come after them.  The file holds:
 
 * the git sha and dirty flag of the checkout, and the machine metadata of the
   ``meta`` line the traced runs print (CPU, ``nproc``, Python, numpy, BLAS,
@@ -30,13 +33,14 @@ directory, beside copies of this checkout's ``perfbench/`` and
 ``BENCHMARK.json``, so both sides run the same harness on their own library.
 With ``--tier1`` the same Tier-1 command also runs in the export, on
 ``REV``'s own tests, and is recorded as the base side's ``tier1``.
-Each seed runs on both sides, the side that goes first alternating from seed
-to seed, and the traced run is made on both sides.  Each workload then holds
-a ``base`` and a ``head`` entry in the form above, and ``compare``: per
-end-to-end metric, the median over seeds of the head/base ratio and the
-number of seeds on which the head is better (by the metric's ``better`` in
-``BENCHMARK.json``).  A seed on which either side is not correct is left out
-of the comparison.  An unknown ``REV`` exits with code 2 before any run.
+Each seed runs each workload on both sides, one after the other, the side
+that goes first alternating from seed to seed, and the traced run is made on
+both sides.  Each workload then holds a ``base`` and a ``head`` entry in the
+form above, and ``compare``: per end-to-end metric, the median over seeds of
+the head/base ratio and the number of seeds on which the head is better (by
+the metric's ``better`` in ``BENCHMARK.json``).  A seed on which either side
+is not correct is left out of the comparison.  An unknown ``REV`` exits with
+code 2 before any run.
 
 Nothing under ``perfbench/`` is changed; its own scratch and span files go
 where ``perfbench/run.py`` puts them.
@@ -188,25 +192,36 @@ def _compare(base: list[dict], head: list[dict], better: dict) -> dict:
     return out
 
 
-def _workload(
-    name: str, seeds: list[int], roots: dict[str, str], spec: dict
-) -> tuple[dict, dict]:
-    """The record of one workload and the ``meta`` line of the head's traced
-    run: untraced runs of every seed on every side, alternating the side that
-    goes first, then one traced run per side at the first seed."""
+def _measure(
+    seeds: list[int], roots: dict[str, str], spec: dict
+) -> dict[str, tuple[dict, dict]]:
+    """Per workload, its record and the ``meta`` line of the head's traced
+    run.  Each seed runs every workload untraced on every side, the side that
+    goes first alternating from seed to seed, so that host drift within the
+    recording reaches all workloads alike; then each workload has one traced
+    run per side at the first seed."""
+    names = [w["name"] for w in spec["workloads"]]
     units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
     layers = [m["name"] for m in spec["per_layer"]]
-    runs: dict[str, list[dict]] = {side: [] for side in roots}
+    runs = {name: {side: [] for side in roots} for name in names}
     for i, seed in enumerate(seeds):
-        for side in list(roots)[:: 1 if i % 2 == 0 else -1]:
-            runs[side].append(_run(roots[side], name, seed, 0, list(units)))
-    traced = {side: _run(roots[side], name, seeds[0], 1, layers) for side in roots}
-    sides = {side: _side(runs[side], traced[side], units) for side in roots}
-    meta = traced["head"]["meta"] or {}
-    if len(roots) == 1:
-        return sides["head"], meta
+        for name in names:
+            for side in list(roots)[:: 1 if i % 2 == 0 else -1]:
+                runs[name][side].append(_run(roots[side], name, seed, 0, list(units)))
+        print(f"seed {seed}: done", flush=True)
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    return {**sides, "compare": _compare(runs["base"], runs["head"], better)}, meta
+    out = {}
+    for name in names:
+        traced = {side: _run(roots[side], name, seeds[0], 1, layers) for side in roots}
+        sides = {side: _side(runs[name][side], traced[side], units) for side in roots}
+        meta = traced["head"]["meta"] or {}
+        if len(roots) == 1:
+            out[name] = sides["head"], meta
+        else:
+            compare = _compare(runs[name]["base"], runs[name]["head"], better)
+            out[name] = {**sides, "compare": compare}, meta
+        print(f"{name}: done", flush=True)
+    return out
 
 
 def _tier1(root: str) -> dict:
@@ -255,12 +270,11 @@ def main() -> None:
             export_base(base_sha, tmp)
             roots = {"base": tmp, "head": ROOT}
             record["base"] = {"rev": args.base, "git_sha": base_sha}
-        for name in (w["name"] for w in spec["workloads"]):
-            record["workloads"][name], meta = _workload(name, args.seeds, roots, spec)
+        for name, (workload, meta) in _measure(args.seeds, roots, spec).items():
+            record["workloads"][name] = workload
             record.setdefault("git_sha", meta.get("git_sha"))
             record.setdefault("git_dirty", meta.get("git_dirty"))
             record.setdefault("machine", {k: meta.get(k) for k in MACHINE_KEYS})
-            print(f"{name}: done", flush=True)
         if args.tier1:
             record["tier1"] = _tier1(ROOT)
             if base_sha is not None:
