@@ -29,8 +29,9 @@ into the imaginary part of one complex weight vector, and numpy adds complex
 values part by part with the same IEEE additions, so each part is bit for
 bit what that weight alone would give.  Per channel, the odd sets' loads
 are folded into running reductions (``_odd_set_extremes``): the sum of the
-k largest real parts and the largest imaginary part per odd set.  No odd
-set by channel table is kept; an exact-mode witness recomputes the
+k largest real parts (``_topk_sum``, the reduction the node term and the
+oracle leaves also use) and the largest imaginary part per odd set.  No
+odd set by channel table is kept; an exact-mode witness recomputes the
 per-channel loads of its one set in edge-index order (``_set_loads``).
 
 ``mode`` selects which odd sets are listed; the reductions are the same.
@@ -60,7 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -230,21 +231,30 @@ def _lattice_columns(
         yield c, column
 
 
-def _topk_sum(loads: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise sum of the k largest channel loads, added in descending order.
+def _topk_sum(columns: Iterable[np.ndarray], k: int, rows: int) -> np.ndarray:
+    """Row-wise sum of the k largest loads in a stream of load columns,
+    added largest first.
 
-    k bubble passes of column-wise max/min move each row's k largest values,
-    in descending order, into the first k columns; adding those left to right
-    equals column k-1 of the descending cumulative sum bit for bit.
+    Each column is inserted into up to k running descending columns by
+    max/min and not read again once the next one is drawn, so a stream may
+    reuse one buffer; an unloaded channel (all zeros, as loads are never
+    negative) may be left out.  The sum equals column k-1 of the descending
+    cumulative sum bit for bit.
     """
-    cols = [loads[:, j] for j in range(loads.shape[1])]
-    for i in range(k):
-        for j in range(len(cols) - 1, i, -1):
-            left, right = cols[j - 1], cols[j]
-            cols[j - 1], cols[j] = np.maximum(left, right), np.minimum(left, right)
-    total = cols[0].copy()
-    for col in cols[1:k]:
-        total += col
+    top: list[np.ndarray] = []
+    spare = [np.empty(rows) for _ in range(min(2, k - 1))]
+    for carry in columns:
+        for i, kept in enumerate(top[: k - 1]):
+            np.minimum(kept, carry, out=spare[i % 2])
+            np.maximum(kept, carry, out=kept)
+            carry = spare[i % 2]
+        if len(top) < k:
+            top.append(carry.copy())
+        else:
+            np.maximum(top[-1], carry, out=top[-1])
+    total = top[0] if top else np.zeros(rows)
+    for kept in top[1:]:
+        total += kept
     return total
 
 
@@ -332,7 +342,7 @@ def max_node_load(
         return 0.0, None
     k_eff = min(k, net.n_channels)
     loads = _node_loads(net, y, net.demand_array)
-    per_node = _topk_sum(loads, k_eff)
+    per_node = _topk_sum(loads.T, k_eff, net.n_nodes)
     node = int(per_node.argmax())
     best = float(per_node[node])
     return best, NodeLoadWitness(node, _best_channel_set(loads[node], k_eff))
@@ -350,13 +360,9 @@ def _odd_set_extremes(
     table's columns), without masks.
 
     ``weights`` packs two weights into one complex vector.  Per set, ``top``
-    is the sum of its ``k_eff`` largest channel loads of the real part,
-    added in descending order, and ``peak`` its largest channel load of the
-    imaginary part.  Each column is folded in as it comes: inserted into
-    ``k_eff`` running descending columns by max/min, which leaves the same
-    values in the same order as :func:`_topk_sum` over the whole table, and
-    into the running maximum.  Unloaded channels, left out of the stream,
-    are the zeros the running columns start from.
+    is :func:`_topk_sum` of its channel loads' real parts and ``peak`` the
+    largest imaginary part, folded in as each column comes; the unloaded
+    channels left out of the stream change neither.
     """
     if mode == "exact":
         masks, sizes = _odd_masks(net.n_nodes)
@@ -367,21 +373,14 @@ def _odd_set_extremes(
         table = _triple_loads(net, y, weights)
         rows = len(table)
         columns = enumerate(table.T)
-    top = [np.zeros(rows) for _ in range(k_eff)]
-    spare = [np.empty(rows) for _ in range(min(2, k_eff - 1))]
     peak = np.zeros(rows)
-    for _, column in columns:
-        np.maximum(peak, column.imag, out=peak)
-        carry = column.real
-        for i, kept in enumerate(top[:-1]):
-            np.minimum(kept, carry, out=spare[i % 2])
-            np.maximum(kept, carry, out=kept)
-            carry = spare[i % 2]
-        np.maximum(top[-1], carry, out=top[-1])
-    total = top[0]
-    for kept in top[1:]:
-        total += kept
-    return masks, sizes, total, peak
+
+    def real_parts() -> Iterator[np.ndarray]:
+        for _, column in columns:
+            np.maximum(peak, column.imag, out=peak)
+            yield column.real
+
+    return masks, sizes, _topk_sum(real_parts(), k_eff, rows), peak
 
 
 def _lists_every_odd_set(net: Network, mode: str) -> bool:

@@ -218,7 +218,7 @@ def _capacity(
         m1 = max(sum(sorted(lv)[cut:]) for lv in loads)
         onehot = np.zeros((len(a), w))
         onehot[np.arange(len(a)), a] = net.demand_array
-        oddset = scale_cap * _topk_sum(member_cap @ onehot, k_eff)
+        oddset = scale_cap * _topk_sum((member_cap @ onehot).T, k_eff, len(member_cap))
         return max(m1, float(oddset.max(initial=0.0)))
 
     z1_min = -math.inf if feasible is None else 1.0 - TOL

@@ -2,7 +2,8 @@
 
 Everything here enumerates explicitly, channel subsets included, and stays
 deliberately independent of the implementation under test.  Only usable on
-tiny instances.
+tiny instances, except the per-edge load loops (``node_loads``,
+``wedge_loads``), which cost O(sum of squared degrees) and run at any size.
 """
 
 import itertools
@@ -43,6 +44,39 @@ def node_channel_load(net, y, v, w):
         for e in incident_edges(net, v)
         if y.channel_of[e] == w
     )
+
+
+def node_loads(net, y, weights):
+    """loads[v][w]: weight of the edges at node v on channel w, added in edge
+    order."""
+    loads = [[0.0] * net.n_channels for _ in range(net.n_nodes)]
+    for e, uv in enumerate(net.edges):
+        for x in uv:
+            loads[x][y.channel_of[e]] += weights[e]
+    return loads
+
+
+def wedge_loads(net, y, weights):
+    """Per-channel induced load of every 3-node set with two or three edges,
+    keyed by the sorted node triple: at each node, each pair of its edges
+    and the edge closing them into a triangle, if there is one, added in
+    edge-index order."""
+    edge_of = {uv: e for e, uv in enumerate(net.edges)}
+    at = [[] for _ in range(net.n_nodes)]
+    for e, uv in enumerate(net.edges):
+        for x in uv:
+            at[x].append(e)
+    n_channels = net.n_channels
+    rows = {}
+    for v, edges in enumerate(at):
+        for e, f in itertools.combinations(edges, 2):
+            a, b = sorted(set(net.edges[e] + net.edges[f]) - {v})
+            closing = edge_of.get((a, b))
+            load = [0.0] * n_channels
+            for g in sorted([e, f] if closing is None else [e, f, closing]):
+                load[y.channel_of[g]] += weights[g]
+            rows[tuple(sorted((v, a, b)))] = load
+    return rows
 
 
 def brute_m1(net, y, k):

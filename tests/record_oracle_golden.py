@@ -58,28 +58,29 @@ def case_network(case: dict):
     return generate_instance(spec, case["seed"])
 
 
+def solve_record(net, problem: str, k: int | None, limit: int) -> dict:
+    """One solve's record: problem, k (None for feasi), limit, the objective
+    as ``float.hex()``, ``explored``, ``proven_optimal`` and the assignment."""
+    if problem == "whiterec":
+        res = solve_whiterec_exact(net, k, limit=limit)
+    elif problem == "whiterecinf":
+        res = solve_whiterecinf_exact(net, k, limit=limit)
+    else:
+        res = solve_feasi_exact(net, limit=limit)
+    y = res.best_assignment
+    return {
+        "problem": problem,
+        "k": k,
+        "limit": limit,
+        "objective": res.objective.hex(),
+        "explored": res.explored,
+        "proven_optimal": res.proven_optimal,
+        "assignment": None if y is None else list(y.channel_of),
+    }
+
+
 def solve_all(net) -> list[dict]:
-    out = []
-    for problem, k, limit in SOLVES:
-        if problem == "whiterec":
-            res = solve_whiterec_exact(net, k, limit=limit)
-        elif problem == "whiterecinf":
-            res = solve_whiterecinf_exact(net, k, limit=limit)
-        else:
-            res = solve_feasi_exact(net, limit=limit)
-        y = res.best_assignment
-        out.append(
-            {
-                "problem": problem,
-                "k": k,
-                "limit": limit,
-                "objective": res.objective.hex(),
-                "explored": res.explored,
-                "proven_optimal": res.proven_optimal,
-                "assignment": None if y is None else list(y.channel_of),
-            }
-        )
-    return out
+    return [solve_record(net, problem, k, limit) for problem, k, limit in SOLVES]
 
 
 def golden_cases() -> list[dict]:

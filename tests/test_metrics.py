@@ -19,6 +19,8 @@ from brute import (
     induced_edges,
     is_bipartite,
     node_channel_load,
+    node_loads,
+    wedge_loads,
 )
 from chanrec import metrics
 from chanrec.assign import greedy_assign, ifa_assign, random_assign
@@ -522,7 +524,8 @@ def test_bracket_reads_exact_three_node_loads_bitwise():
         for k in (1, 2, 3):
             lo, _ = max_odd_set_load_bracket(net, y, k)
             k_eff = min(k, net.n_channels)
-            want = metrics._topk_sum(loads[sizes == 3], k_eff).max()
+            triples = loads[sizes == 3]
+            want = metrics._topk_sum(triples.T, k_eff, len(triples)).max()
             assert lo.hex() == float(want).hex(), (net.n_nodes, net.n_channels, k)
             m2, _ = max_odd_set_load_exact(net, y, k)
             assert lo <= m2
@@ -572,6 +575,56 @@ def test_triple_loads_structural_cases():
         _assert_same_rows_bitwise(table, _lattice_triples(k5, y, weights))
 
 
+def _complete_graph(rng, n, w):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    demands = rng.uniform(1.0, 100.0, size=len(pairs)).tolist()
+    capacity = rng.uniform(75.0, 200.0, size=(w, len(pairs))).tolist()
+    return make_network(n, pairs, demands, w, capacity=capacity)
+
+
+def _large_bracket_cases():
+    # the scaling study's specs and assignment, and dense graphs; uniform
+    # random demands are not dyadic, so the order of addition shows
+    rng = np.random.default_rng(410)
+    for n in range(20, 221, 20):
+        for w in (3, 5):
+            net = generate_instance(InstanceSpec(n, w), int(rng.integers(0, 2**63)))
+            yield net, ifa_assign(net)
+            yield net, greedy_assign(net)
+    for n, w in ((20, 3), (40, 5), (60, 3)):
+        net = _complete_graph(rng, n, w)
+        yield net, greedy_assign(net)
+
+
+def test_bracket_matches_brute_wedges_at_scale():
+    # bracket mode against plain loops over net.edges where auto picks it:
+    # its wedge table holds each 3-node set with two or three edges once,
+    # summed in edge-index order, so m2_lo and z2_hi equal the loops' values
+    # bit for bit, as m1 and z1 equal the node loads'
+    for net, y in _large_bracket_cases():
+        case = (net.n_nodes, net.n_channels, net.n_edges)
+        demands = net.demands
+        rho = net.rho[np.arange(net.n_edges), y.channel_of].tolist()
+        wedges, rho_wedges = (wedge_loads(net, y, x) for x in (demands, rho))
+        for weights, rows in ((demands, wedges), (rho, rho_wedges)):
+            got = metrics._triple_loads(net, y, np.asarray(weights))
+            _assert_same_rows_bitwise(got, np.array(list(rows.values())))
+        # each row's loads in descending order: its top-k sum is a prefix's
+        loads = [sorted(row, reverse=True) for row in node_loads(net, y, demands)]
+        triples = [sorted(row, reverse=True) for row in wedges.values()]
+        z1 = min(1.0 / x for row in node_loads(net, y, rho) for x in row if x > 0)
+        z2_hi = min([1.0 / max(row) for row in rho_wedges.values()] + [1.0 / max(rho)])
+        for k in (1, 2, 3):
+            k_eff = min(k, net.n_channels)
+            rec, feas = metrics.evaluate(net, y, k, mode="bracket")
+            m1 = max(sum(row[:k_eff]) for row in loads)
+            m2_lo = max([sum(row[:k_eff]) for row in triples] + list(demands))
+            assert rec.m1.hex() == m1.hex(), (case, k)
+            assert rec.m2_lo.hex() == m2_lo.hex(), (case, k)
+            assert feas.z1.hex() == z1.hex(), case
+            assert feas.z2_hi.hex() == z2_hi.hex(), case
+
+
 # -- property-based checks ------------------------------------------------
 
 
@@ -592,9 +645,20 @@ def test_topk_sum_matches_descending_cumsum_bitwise(data):
     x = np.array(rows)
     before = x.copy()
     want = np.cumsum(np.sort(x, axis=1)[:, ::-1], axis=1)
+
+    def one_buffer():
+        # one pass, each column copied into the same buffer, as
+        # _lattice_columns hands its columns over
+        buffer = np.empty(len(x))
+        for column in x.T:
+            buffer[:] = column
+            yield buffer
+
     for k in range(1, w + 1):
-        got = metrics._topk_sum(x, k)
+        got = metrics._topk_sum(one_buffer(), k, len(x))
         assert np.array_equal(got.view(np.int64), want[:, k - 1].view(np.int64)), k
+        empty = metrics._topk_sum(iter(()), k, len(x))
+        assert np.array_equal(empty.view(np.int64), np.zeros(len(x), dtype=np.int64))
     assert np.array_equal(x, before)
 
 
@@ -614,10 +678,7 @@ def test_node_loads_match_per_edge_loop_bitwise(data):
     y = ChannelAssignment(
         tuple(data.draw(st.integers(min_value=0, max_value=w - 1)) for _ in edges)
     )
-    want = np.zeros((n, w))
-    for e, (u, v) in enumerate(net.edges):
-        want[u, y.channel_of[e]] += weights[e]
-        want[v, y.channel_of[e]] += weights[e]
+    want = np.array(node_loads(net, y, weights))
     assert np.array_equal(metrics._node_loads(net, y, weights), want)
     assert np.array_equal(metrics._node_loads(net, y, np.array(weights)), want)
 

@@ -33,15 +33,11 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
-from record_oracle_golden import GOLDEN_PATH, case_network  # noqa: E402
+from record_oracle_golden import GOLDEN_PATH, case_network, solve_record  # noqa: E402
 
 from chanrec.metrics import feasibility_ratio, recovery_capacity  # noqa: E402
-from chanrec.oracles import (  # noqa: E402
-    DEFAULT_LEAF_BUDGET,
-    solve_feasi_exact,
-    solve_whiterec_exact,
-    solve_whiterecinf_exact,
-)
+from chanrec.netmodel import ChannelAssignment  # noqa: E402
+from chanrec.oracles import DEFAULT_LEAF_BUDGET  # noqa: E402
 
 # (problem, k, limit); k is None for feasi
 SOLVES = tuple(
@@ -70,31 +66,17 @@ def ulps(a: float, b: float) -> int | None:
 
 
 def solve(net, problem: str, k: int | None, limit: int) -> dict:
-    if problem == "whiterec":
-        res = solve_whiterec_exact(net, k, limit=limit)
-    elif problem == "whiterecinf":
-        res = solve_whiterecinf_exact(net, k, limit=limit)
-    else:
-        res = solve_feasi_exact(net, limit=limit)
-    y = res.best_assignment
-    out = {
-        "problem": problem,
-        "k": k,
-        "limit": limit,
-        "objective": res.objective.hex(),
-        "explored": res.explored,
-        "proven_optimal": res.proven_optimal,
-        "assignment": None if y is None else list(y.channel_of),
-        "metric": None,
-        "ulps": None,
-    }
-    if y is not None:
+    """The golden file's record of one solve, with the exact metric of its
+    assignment as hex and that metric's distance from the objective."""
+    out = dict(solve_record(net, problem, k, limit), metric=None, ulps=None)
+    if out["assignment"] is not None:
+        y = ChannelAssignment(tuple(out["assignment"]))
         if problem == "feasi":
             metric = feasibility_ratio(net, y, "exact").beta
         else:
             metric = recovery_capacity(net, y, k, "exact").capacity
         out["metric"] = metric.hex()
-        out["ulps"] = ulps(res.objective, metric)
+        out["ulps"] = ulps(float.fromhex(out["objective"]), metric)
     return out
 
 
