@@ -125,13 +125,15 @@ def greedy_assign(net: Network) -> ChannelAssignment:
     demand already assigned on links sharing either endpoint (ties: lowest
     channel).  The link being placed is not counted, which cannot change the
     argmin."""
-    loads = np.zeros((net.n_nodes, net.n_channels))
-    channel_of = [-1] * net.n_edges
-    for e, (u, v) in enumerate(net.edges):
-        w = int(np.argmin(loads[u] + loads[v]))
-        channel_of[e] = w
-        loads[u, w] += net.demands[e]
-        loads[v, w] += net.demands[e]
+    loads = [[0.0] * net.n_channels for _ in range(net.n_nodes)]
+    channels = range(net.n_channels)
+    channel_of = []
+    for (u, v), r in zip(net.edges, net.demands):
+        lu, lv = loads[u], loads[v]
+        w = min(channels, key=lambda c: lu[c] + lv[c])  # first minimum
+        channel_of.append(w)
+        lu[w] += r
+        lv[w] += r
     return ChannelAssignment(tuple(channel_of))
 
 

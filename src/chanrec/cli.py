@@ -5,7 +5,7 @@ and feasibility of a given assignment), ``oracle`` (exact branch-and-bound),
 ``study`` (batch experiments to CSV plus a JSON summary).
 
 Exit codes: 0 on success, 2 on usage or input format errors and on inputs
-too large to allocate, 3 when an exact solve exhausts its node budget and
+too large to allocate, 3 when an exact solve exhausts its leaf budget and
 --strict was given.
 
 All report output uses fixed 9-decimal floats so repeated runs are

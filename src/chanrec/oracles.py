@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,17 +88,12 @@ class OracleResult:
 
 
 def _odd_membership(net: Network) -> tuple[np.ndarray, np.ndarray]:
-    """0/1 matrix (odd set, edge) of the edges induced by each odd set, and
-    the odd sets' sizes."""
+    """0/1 matrix (odd set, edge) of the edges induced by each odd set, C
+    contiguous float64, and the odd sets' sizes."""
     masks, sizes = _odd_masks(net.n_nodes)
-    member = np.zeros((len(masks), net.n_edges))
-    for e, (u, v) in enumerate(net.edges):
-        member[:, e] = ((masks >> u) & (masks >> v) & 1).astype(np.float64)
-    return member, sizes
-
-
-def _node_margin(wload: float) -> float:
-    return 1.0 / wload if wload > 0.0 else math.inf
+    has = ((masks[:, None] >> np.arange(net.n_nodes)) & 1).astype(bool)
+    u, v = net.edge_array.T
+    return (has[:, u] & has[:, v]).astype(np.float64, order="C"), sizes
 
 
 # -- problems -------------------------------------------------------------
@@ -112,9 +107,9 @@ class _Problem(NamedTuple):
     adds edge e on channel w to the load tables and returns the child's
     state, or undoes itself and returns None when the child's bound is not
     below ``best``; ``unplace(e, w)`` takes a placed edge back out.  A
-    returned child is searched only if its ``z1 >= z1_min``.  ``leaf(a,
-    state)`` values a complete assignment (``inf`` if it does not qualify).
-    The search stops early once the incumbent reaches ``floor``.
+    returned child is searched only if its ``z1 >= z1_min``.  ``leaf(state)``
+    values the complete assignment in the load tables (``inf`` if it does not
+    qualify).  The search stops early once the incumbent reaches ``floor``.
     """
 
     place: Callable
@@ -128,10 +123,11 @@ def _margin(net: Network, member: np.ndarray, limits: np.ndarray) -> _Problem:
     """Feasibility margin, as the leaf value ``-beta``, over the odd sets
     ``member`` (rows of :func:`_odd_membership`) with their ``limits``."""
     n, w = net.n_nodes, net.n_channels
-    edges, rho = net.edges, net.rho
-    rho_of = rho.tolist()
+    edges = net.edges
+    rho_of = net.rho.tolist()
     wloads = [[0.0] * w for _ in range(n)]
-    idx = np.arange(net.n_edges)
+    # (edge, channel): rho of each placed edge on its channel, else 0
+    table = np.zeros(net.rho.shape)
 
     def place(e, ww, state, best):
         u, v = edges[e]
@@ -139,8 +135,14 @@ def _margin(net: Network, member: np.ndarray, limits: np.ndarray) -> _Problem:
         p = rho_of[e][ww]
         wu[ww] += p
         wv[ww] += p
-        z1 = min(state[1], _node_margin(wu[ww]), _node_margin(wv[ww]))
+        xu, xv = wu[ww], wv[ww]
+        z1 = min(
+            state[1],
+            1.0 / xu if xu > 0.0 else math.inf,
+            1.0 / xv if xv > 0.0 else math.inf,
+        )
         if -z1 < best:
+            table[e, ww] = p
             return -z1, z1
         wu[ww] -= p
         wv[ww] -= p
@@ -151,14 +153,13 @@ def _margin(net: Network, member: np.ndarray, limits: np.ndarray) -> _Problem:
         p = rho_of[e][ww]
         wloads[u][ww] -= p
         wloads[v][ww] -= p
+        table[e, ww] = 0.0
 
-    def leaf(a, state):
-        onehot = np.zeros(rho.shape)
-        onehot[idx, a] = rho[idx, a]
+    def leaf(state):
         # per cell; the smallest equals the metric's limit over the set's
         # largest load bit for bit.  limits >= 1, so an unloaded cell is inf
-        with np.errstate(divide="ignore"):
-            margins = limits[:, None] / (member @ onehot)
+        # (the solve ignores the divide by zero)
+        margins = limits[:, None] / (member @ table)
         return -min(state[1], float(margins.min(initial=math.inf)))
 
     return _Problem(place, unplace, leaf, -math.inf, -math.inf)
@@ -181,6 +182,11 @@ def _capacity(
     edges, dem = net.edges, net.demands
     floor = capacity_floor(net, k)
     loads = [[0.0] * w for _ in range(n)]
+    # (edge, channel): demand of each placed edge on its channel, else 0
+    table = np.zeros((net.n_edges, w))
+    if feasible is not None:
+        place_feasible, unplace_feasible = feasible.place, feasible.unplace
+        leaf_feasible = feasible.leaf
 
     # Odd sets whose best contribution cannot exceed the floor never raise
     # max(m1, m2) above m1, so the leaf ignores them.
@@ -200,25 +206,25 @@ def _capacity(
             lu[ww] -= r
             lv[ww] -= r
             return None
+        table[e, ww] = r
         if feasible is not None:
-            z1 = feasible.place(e, ww, state, math.inf)[1]
+            z1 = place_feasible(e, ww, state, math.inf)[1]
         return nb, z1
 
     def unplace(e, ww):
         if feasible is not None:
-            feasible.unplace(e, ww)
+            unplace_feasible(e, ww)
         u, v = edges[e]
         r = dem[e]
         loads[u][ww] -= r
         loads[v][ww] -= r
+        table[e, ww] = 0.0
 
-    def leaf(a, state):
-        if feasible is not None and -feasible.leaf(a, state) < 1.0 - TOL:
+    def leaf(state):
+        if feasible is not None and -leaf_feasible(state) < 1.0 - TOL:
             return math.inf
         m1 = max(sum(sorted(lv)[cut:]) for lv in loads)
-        onehot = np.zeros((len(a), w))
-        onehot[np.arange(len(a)), a] = net.demand_array
-        oddset = scale_cap * _topk_sum((member_cap @ onehot).T, k_eff, len(member_cap))
+        oddset = scale_cap * _topk_sum((member_cap @ table).T, k_eff, len(member_cap))
         return max(m1, float(oddset.max(initial=0.0)))
 
     z1_min = -math.inf if feasible is None else 1.0 - TOL
@@ -241,7 +247,7 @@ def _search(
     dem = net.demands
     order = sorted(range(m), key=lambda e: (-dem[e], e))
     root = (floor, math.inf)
-    a = np.full(m, -1, dtype=np.int64)
+    a = [-1] * m  # the channel of each placed edge
 
     best = math.inf
     best_assignment: tuple[int, ...] | None = None
@@ -249,15 +255,15 @@ def _search(
     out_of_budget = False
     done = False  # the incumbent reached the floor: nothing can beat it
 
-    def visit(y: np.ndarray, state: tuple[float, float]) -> None:
+    def visit(y: Sequence[int], state: tuple[float, float]) -> None:
         nonlocal best, best_assignment, explored, out_of_budget, done
         if explored >= limit:
             out_of_budget = True
             return
         explored += 1
-        val = leaf(y, state)
+        val = leaf(state)
         if val < best:
-            best, best_assignment = val, tuple(y.tolist())
+            best, best_assignment = val, tuple(y)
             done = best <= floor
 
     # Seed the incumbent.  Demands have a finite total, so no bound reaches
@@ -267,7 +273,7 @@ def _search(
         state = root
         for e in range(m):
             state = place(e, y[e], state, math.inf)
-        visit(np.asarray(y, dtype=np.int64), state)
+        visit(y, state)
         for e in range(m):
             unplace(e, y[e])
         if out_of_budget:
@@ -284,7 +290,6 @@ def _search(
                 if child[1] >= z1_min:
                     a[e] = ww
                     dfs(pos + 1, child)
-                    a[e] = -1
                 unplace(e, ww)
             if done or out_of_budget:
                 return
@@ -323,7 +328,8 @@ def _solve(name: str, net: Network, k: int, limit: int) -> OracleResult:
             keep = member @ net.rho.max(axis=1) > limits / (1.0 - TOL)
         margin = _margin(net, member[keep], limits[keep])
     problem = margin if feasi else _capacity(net, k, member, sizes, margin)
-    best, y, explored, proven = _search(net, problem, limit)
+    with np.errstate(divide="ignore"):  # see _margin's leaf
+        best, y, explored, proven = _search(net, problem, limit)
     return OracleResult(
         name,
         -best if feasi else best,

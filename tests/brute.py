@@ -214,6 +214,19 @@ def sequential_proper_assignment(net, rng):
     return ChannelAssignment(tuple(chan))
 
 
+def greedy_reference(net):
+    """``greedy_assign`` on a numpy load table: ties go to the first minimum,
+    by ``np.argmin``."""
+    loads = np.zeros((net.n_nodes, net.n_channels))
+    channel_of = [-1] * net.n_edges
+    for e, (u, v) in enumerate(net.edges):
+        w = int(np.argmin(loads[u] + loads[v]))
+        channel_of[e] = w
+        loads[u, w] += net.demands[e]
+        loads[v, w] += net.demands[e]
+    return ChannelAssignment(tuple(channel_of))
+
+
 def generate_instance_scalar(spec, seed):
     """The instance generator drawn one coin and one demand per call, in the
     documented draw order: pair visiting order, one coin per visited pair,

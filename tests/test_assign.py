@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from brute import (
     brute_m1,
     edge_color_reference,
+    greedy_reference,
     incident_edges,
     is_proper_edge_coloring,
     node_channel_load,
@@ -65,6 +66,31 @@ def _greedy_counting_self(net):
         loads[u][w] += r
         loads[v][w] += r
     return tuple(out)
+
+
+@st.composite
+def tie_heavy_networks(draw):
+    n = draw(st.integers(min_value=2, max_value=60))
+    n_channels = draw(st.integers(min_value=1, max_value=5))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    p = draw(st.sampled_from([0.05, 0.2, 0.6]))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    edges = [edges[i] for i in rng.permutation(len(edges))]
+    # equal demands tie whole channel rows; tenths make sums that round
+    kind = draw(st.sampled_from(["uniform", "tenths", "any"]))
+    if kind == "uniform":
+        demands = [1.0] * len(edges)
+    elif kind == "tenths":
+        demands = rng.choice([0.1, 0.2, 0.3], size=len(edges)).tolist()
+    else:
+        demands = rng.uniform(0.1, 10.0, size=len(edges)).tolist()
+    return make_network(n, edges, demands, n_channels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_networks())
+def test_greedy_matches_numpy_reference_bit_for_bit(net):
+    assert greedy_assign(net).channel_of == greedy_reference(net).channel_of
 
 
 def test_edge_color_small_cases():

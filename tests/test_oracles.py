@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from brute import (
     brute_capacity,
     brute_m1,
     incident_edges,
+    induced_edges,
     is_bipartite,
     items_pack,
 )
@@ -277,3 +279,59 @@ def test_each_solve_builds_the_odd_set_table_once(solve, monkeypatch):
     assert net.n_edges > 0
     assert solve(net).proven_optimal
     assert len(calls) == 1
+
+
+def test_odd_membership_matches_induced_edges():
+    rng = np.random.default_rng(3)
+    for n in range(1, 9):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+        net = make_network(n, pairs, [1.0] * len(pairs), 2)
+        member, sizes = oracles._odd_membership(net)
+        odd = [
+            [v for v in range(n) if mask >> v & 1]
+            for mask in range(1 << n)
+            if bin(mask).count("1") % 2 == 1 and bin(mask).count("1") >= 3
+        ]
+        expected = np.zeros((len(odd), net.n_edges))
+        for row, nodes in enumerate(odd):
+            expected[row, list(induced_edges(net, nodes))] = 1.0
+        assert member.dtype == np.float64 and member.flags.c_contiguous
+        assert np.array_equal(member, expected)
+        assert sizes.tolist() == [len(nodes) for nodes in odd]
+
+
+# a triangle on three channels: the leaves' odd set {0, 1, 2} leaves at least
+# one channel cell unloaded, so its margin divides by zero
+TRIANGLE = make_network(3, [(0, 1), (0, 2), (1, 2)], [1.0] * 3, 3, capacity=2.0)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda net: solve_whiterec_exact(net, 1),
+        lambda net: solve_whiterecinf_exact(net, 1),
+        solve_feasi_exact,
+    ],
+    ids=["whiterec", "whiterecinf", "feasi"],
+)
+def test_unloaded_odd_set_cells_raise_no_warning(solve):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve(TRIANGLE)
+    assert res.proven_optimal and res.best_assignment is not None
+
+
+def test_solves_leave_the_numpy_error_state_as_they_found_it():
+    before = np.geterr()
+    solve_feasi_exact(TRIANGLE)
+    solve_whiterec_exact(TRIANGLE, 1)
+    assert np.geterr() == before
+    big = make_network(ODDSET_EXACT_CAP + 1, [(0, 1)], [1.0], 2)
+    with pytest.raises(ValueError):
+        solve_feasi_exact(big)
+    assert np.geterr() == before
+    # a caller's stricter setting holds around the solve, not inside it
+    with np.errstate(all="raise"):
+        strict = np.geterr()
+        assert solve_feasi_exact(TRIANGLE).proven_optimal
+        assert np.geterr() == strict
