@@ -93,7 +93,10 @@ def _odd_membership(net: Network) -> tuple[np.ndarray, np.ndarray]:
     masks, sizes = _odd_masks(net.n_nodes)
     has = ((masks[:, None] >> np.arange(net.n_nodes)) & 1).astype(bool)
     u, v = net.edge_array.T
-    return (has[:, u] & has[:, v]).astype(np.float64, order="C"), sizes
+    # in place, so one bool gather at a time sits beside the float matrix
+    member = has[:, u].astype(np.float64, order="C")
+    member *= has[:, v]
+    return member, sizes
 
 
 # -- problems -------------------------------------------------------------
@@ -186,7 +189,6 @@ def _capacity(
     table = np.zeros((net.n_edges, w))
     if feasible is not None:
         place_feasible, unplace_feasible = feasible.place, feasible.unplace
-        leaf_feasible = feasible.leaf
 
     # Odd sets whose best contribution cannot exceed the floor never raise
     # max(m1, m2) above m1, so the leaf ignores them.
@@ -221,7 +223,7 @@ def _capacity(
         table[e, ww] = 0.0
 
     def leaf(state):
-        if feasible is not None and -leaf_feasible(state) < 1.0 - TOL:
+        if feasible is not None and -feasible.leaf(state) < 1.0 - TOL:
             return math.inf
         m1 = max(sum(sorted(lv)[cut:]) for lv in loads)
         oddset = scale_cap * _topk_sum((member_cap @ table).T, k_eff, len(member_cap))
