@@ -22,7 +22,9 @@ total.  Feasi bounds it by ``-z1``, the negated node margin, which only grows
 as edges are added.  Whiterec is the capacity search with feasi's margin
 search as its constraint: the margin problem tracks the weighted node loads,
 the capacity search prunes as soon as a node constraint is violated, and
-odd-set constraints are checked at leaves only.  All tie-breaks are
+odd-set constraints are checked at leaves only, and only at leaves whose
+capacity would replace the incumbent (any other leaf is discarded whether
+feasible or not, so the check cannot change the result).  All tie-breaks are
 deterministic: the incumbent is seeded with the interference-free, greedy,
 and seed-0 random assignments (in that order), replayed through ``place`` in
 edge-index order, and only strictly better leaves replace it, so the result
@@ -110,9 +112,11 @@ class _Problem(NamedTuple):
     adds edge e on channel w to the load tables and returns the child's
     state, or undoes itself and returns None when the child's bound is not
     below ``best``; ``unplace(e, w)`` takes a placed edge back out.  A
-    returned child is searched only if its ``z1 >= z1_min``.  ``leaf(state)``
-    values the complete assignment in the load tables (``inf`` if it does not
-    qualify).  The search stops early once the incumbent reaches ``floor``.
+    returned child is searched only if its ``z1 >= z1_min``.
+    ``leaf(state, best)`` values the complete assignment in the load tables
+    (``inf`` if it does not qualify); a leaf that cannot beat ``best`` may
+    return any value ``>= best``, as the search ignores it.  The search stops
+    early once the incumbent reaches ``floor``.
     """
 
     place: Callable
@@ -129,8 +133,10 @@ def _margin(net: Network, member: np.ndarray, limits: np.ndarray) -> _Problem:
     edges = net.edges
     rho_of = net.rho.tolist()
     wloads = [[0.0] * w for _ in range(n)]
-    # (edge, channel): rho of each placed edge on its channel, else 0
+    # (edge, channel): rho of each placed edge on its channel, else 0; the
+    # steps write it through a flat view, cell e * w + channel
     table = np.zeros(net.rho.shape)
+    flat = memoryview(table).cast("B").cast("d")
 
     def place(e, ww, state, best):
         u, v = edges[e]
@@ -139,13 +145,15 @@ def _margin(net: Network, member: np.ndarray, limits: np.ndarray) -> _Problem:
         wu[ww] += p
         wv[ww] += p
         xu, xv = wu[ww], wv[ww]
+        # not 1.0 / xu bare: undoing places in stack order can leave a load
+        # a rounding residual below zero, and a tiny p then brings it to <= 0
         z1 = min(
             state[1],
             1.0 / xu if xu > 0.0 else math.inf,
             1.0 / xv if xv > 0.0 else math.inf,
         )
         if -z1 < best:
-            table[e, ww] = p
+            flat[e * w + ww] = p
             return -z1, z1
         wu[ww] -= p
         wv[ww] -= p
@@ -156,9 +164,9 @@ def _margin(net: Network, member: np.ndarray, limits: np.ndarray) -> _Problem:
         p = rho_of[e][ww]
         wloads[u][ww] -= p
         wloads[v][ww] -= p
-        table[e, ww] = 0.0
+        flat[e * w + ww] = 0.0
 
-    def leaf(state):
+    def leaf(state, best):
         # per cell; the smallest equals the metric's limit over the set's
         # largest load bit for bit.  limits >= 1, so an unloaded cell is inf
         # (the solve ignores the divide by zero)
@@ -178,15 +186,22 @@ def _capacity(
     """Recovery capacity at level k over the odd sets ``member`` of sizes
     ``sizes``.  With a ``feasible`` margin problem (whiterec) a child's
     ``z1`` comes from its ``place`` and a leaf qualifies only if its margin
-    ``beta`` is at least ``1 - TOL``."""
+    ``beta`` is at least ``1 - TOL``; the margin leaf runs only for leaves
+    whose capacity is below ``best``."""
     n, w = net.n_nodes, net.n_channels
     k_eff = min(k, w)
     cut = w - k_eff
     edges, dem = net.edges, net.demands
     floor = capacity_floor(net, k)
     loads = [[0.0] * w for _ in range(n)]
-    # (edge, channel): demand of each placed edge on its channel, else 0
+    # a node's top-k channel load.  At k = 1 the top-1 sum 0.0 + max is max
+    # bit for bit, as no load is -0.0: loads start at +0.0, and x - x is +0.0
+    # (undoing in stack order can leave a residual below zero, never -0.0)
+    topk = max if k_eff == 1 else (lambda l: sum(sorted(l)[cut:]))
+    # (edge, channel): demand of each placed edge on its channel, else 0,
+    # written through a flat view as in _margin
     table = np.zeros((net.n_edges, w))
+    flat = memoryview(table).cast("B").cast("d")
     if feasible is not None:
         place_feasible, unplace_feasible = feasible.place, feasible.unplace
 
@@ -203,12 +218,12 @@ def _capacity(
         r = dem[e]
         lu[ww] += r
         lv[ww] += r
-        nb = max(lb, sum(sorted(lu)[cut:]), sum(sorted(lv)[cut:]))
+        nb = max(lb, topk(lu), topk(lv))
         if nb >= best:
             lu[ww] -= r
             lv[ww] -= r
             return None
-        table[e, ww] = r
+        flat[e * w + ww] = r
         if feasible is not None:
             z1 = place_feasible(e, ww, state, math.inf)[1]
         return nb, z1
@@ -220,14 +235,20 @@ def _capacity(
         r = dem[e]
         loads[u][ww] -= r
         loads[v][ww] -= r
-        table[e, ww] = 0.0
+        flat[e * w + ww] = 0.0
 
-    def leaf(state):
-        if feasible is not None and -feasible.leaf(state) < 1.0 - TOL:
-            return math.inf
-        m1 = max(sum(sorted(lv)[cut:]) for lv in loads)
+    def leaf(state, best):
+        m1 = max(map(topk, loads))
         oddset = scale_cap * _topk_sum((member_cap @ table).T, k_eff, len(member_cap))
-        return max(m1, float(oddset.max(initial=0.0)))
+        value = max(m1, float(oddset.max(initial=0.0)))
+        # only a leaf that would replace the incumbent needs its margin
+        if (
+            value < best
+            and feasible is not None
+            and -feasible.leaf(state, math.inf) < 1.0 - TOL
+        ):
+            return math.inf
+        return value
 
     z1_min = -math.inf if feasible is None else 1.0 - TOL
     return _Problem(place, unplace, leaf, floor, z1_min)
@@ -263,7 +284,7 @@ def _search(
             out_of_budget = True
             return
         explored += 1
-        val = leaf(state)
+        val = leaf(state, best)
         if val < best:
             best, best_assignment = val, tuple(y)
             done = best <= floor

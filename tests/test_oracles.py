@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from brute import (
     all_assignments,
@@ -21,7 +23,7 @@ from brute import (
 )
 from chanrec import oracles
 from chanrec.experiments import InstanceSpec, generate_instance
-from chanrec.metrics import ODDSET_EXACT_CAP, TOL, recovery_capacity
+from chanrec.metrics import ODDSET_EXACT_CAP, TOL, feasibility_ratio, recovery_capacity
 from chanrec.netmodel import make_network
 from chanrec.oracles import (
     solve_feasi_exact,
@@ -335,3 +337,122 @@ def test_solves_leave_the_numpy_error_state_as_they_found_it():
         strict = np.geterr()
         assert solve_feasi_exact(TRIANGLE).proven_optimal
         assert np.geterr() == strict
+
+
+@st.composite
+def place_stacks(draw):
+    """A small network with tenths demands and a program of steps
+    ``(push, edge pick, channel, reject)`` for :func:`_capacity`'s place and
+    unplace."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    tenths = st.integers(min_value=1, max_value=30).map(lambda i: i / 10)
+    demands = draw(st.lists(tenths, min_size=len(edges), max_size=len(edges)))
+    net = make_network(n, edges, demands, draw(st.integers(min_value=1, max_value=4)))
+    step = st.tuples(st.booleans(), st.integers(0, 63), st.integers(0, 3), st.booleans())
+    return net, draw(st.lists(step, min_size=20, max_size=60))
+
+
+# node 0's channel-0 load drifts from 0.1 to 0.1 + 0.2 - 0.2 above it while
+# the bound still reads 0.1; the next place must see the drifted load
+DRIFT = (
+    make_network(4, [(0, 1), (0, 2), (0, 3)], [0.1, 0.2, 0.1], 2),
+    [(True, 0, 0, False), (True, 0, 0, True), (True, 1, 1, False)],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(place_stacks(), st.sampled_from(["one", "all"]))
+@example(DRIFT, "one")
+def test_capacity_node_bound_is_bit_exact_under_residual_drift(case, level):
+    # the search's place/unplace with a shadow of its loads: every bound is
+    # the parent's bound or an endpoint's top-k sum, ascending, on the loads
+    # as they stand, including the -= residuals of rejected and undone places
+    net, steps = case
+    w = net.n_channels
+    k = 1 if level == "one" else w
+    cut = w - k
+    member, sizes = oracles._odd_membership(net)
+    problem = oracles._capacity(net, k, member, sizes, None)
+    shadow = [[0.0] * w for _ in range(net.n_nodes)]
+    # 0.0 rather than the search's floor, so that drifted loads reach the bound
+    stack = [(None, None, (0.0, math.inf))]
+    for push, pick, ww, reject in steps:
+        free = [e for e in range(net.n_edges) if e not in {f[0] for f in stack}]
+        if push and free:
+            e, ww = free[pick % len(free)], ww % w
+            u, v = net.edges[e]
+            r = net.demands[e]
+            state = stack[-1][2]
+            shadow[u][ww] += r
+            shadow[v][ww] += r
+            want = max(state[0], sum(sorted(shadow[u])[cut:]), sum(sorted(shadow[v])[cut:]))
+            child = problem.place(e, ww, state, want if reject else math.inf)
+            if reject:
+                assert child is None
+                shadow[u][ww] -= r
+                shadow[v][ww] -= r
+            else:
+                assert child[0].hex() == want.hex()
+                stack.append((e, ww, child))
+        elif len(stack) > 1:
+            e, ww, _ = stack.pop()
+            problem.unplace(e, ww)
+            u, v = net.edges[e]
+            shadow[u][ww] -= net.demands[e]
+            shadow[v][ww] -= net.demands[e]
+        # undoing in stack order can leave a load a rounding residual below
+        # zero, but never at -0.0, where 0.0 + max would differ from max
+        for x in itertools.chain.from_iterable(shadow):
+            assert x > -1e-12 and (x != 0.0 or math.copysign(1.0, x) == 1.0)
+
+
+def test_margin_place_guards_a_load_undone_below_zero():
+    # ((3.0 + 2.1) - 2.1) - 3.0 is -2^-51, so node 0's load on w0 ends below
+    # zero, and the tiny link's rho brings it back to exactly 0.0
+    tiny = -(((3.0 + 2.1) - 2.1) - 3.0)
+    net = make_network(4, [(0, 1), (0, 2), (0, 3)], [3.0, 2.1, tiny], 2)
+    member, sizes = oracles._odd_membership(net)
+    problem = oracles._margin(net, member, (sizes - 1.0) / 2.0)
+    root = (problem.floor, math.inf)
+    child = problem.place(0, 0, root, math.inf)
+    problem.place(1, 0, child, math.inf)
+    problem.unplace(1, 0)
+    problem.unplace(0, 0)
+    # node 3 carries the tiny load; node 0's 0.0 is read as unloaded
+    assert problem.place(2, 0, root, math.inf) == (-1.0 / tiny, 1.0 / tiny)
+
+
+def test_whiterec_skips_the_infeasible_capacity_optimum():
+    # A triangle of light links, each node with one heavy pendant link.  A
+    # heavy link fits only on w1.  Every node stays at 10 only with all three
+    # light links on the other channel, which on w0 overloads the triangle's
+    # odd set (1.2 > 1) though every node constraint holds (0.8 <= 1); the
+    # best feasible assignment moves one light link to w1, at 10.1.
+    light, heavy = [0.1] * 3, [10.0] * 3
+    net = make_network(
+        6,
+        [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)],
+        light + heavy,
+        2,
+        capacity=[[0.25] * 3 + [5.0] * 3, [1.0] * 3 + [20.0] * 3],
+    )
+    free = solve_whiterecinf_exact(net, 1)
+    assert free.proven_optimal and free.objective == 10.0
+    y = free.best_assignment.channel_of
+    assert len(set(y[:3])) == 1 and len(set(y[3:])) == 1 and y[0] != y[3]
+    assert feasibility_ratio(net, free.best_assignment).beta < 1.0 - TOL
+
+    res = solve_whiterec_exact(net, 1)
+    assert res.proven_optimal and res.objective == 10.1
+    y = res.best_assignment.channel_of
+    assert y[3:] == (1, 1, 1) and sorted(y[:3]) == [0, 0, 1]
+    assert res.objective == recovery_capacity(net, res.best_assignment, 1).capacity
+    assert feasibility_ratio(net, res.best_assignment).beta >= 1.0 - TOL
+    best = min(
+        brute_capacity(net, a, 1)
+        for a in all_assignments(net)
+        if brute_beta(net, a) >= 1.0 - TOL
+    )
+    assert res.objective == best
