@@ -354,8 +354,8 @@ def place_stacks(draw):
     return net, draw(st.lists(step, min_size=20, max_size=60))
 
 
-# node 0's channel-0 load drifts from 0.1 to 0.1 + 0.2 - 0.2 above it while
-# the bound still reads 0.1; the next place must see the drifted load
+# node 0's load on w0 drifts up from 0.1 to 0.1 + 0.2 - 0.2 while the bound
+# still reads 0.1; the next place, on w1, must see the drifted load
 DRIFT = (
     make_network(4, [(0, 1), (0, 2), (0, 3)], [0.1, 0.2, 0.1], 2),
     [(True, 0, 0, False), (True, 0, 0, True), (True, 1, 1, False)],
@@ -426,10 +426,11 @@ def test_margin_place_guards_a_load_undone_below_zero():
 
 def test_whiterec_skips_the_infeasible_capacity_optimum():
     # A triangle of light links, each node with one heavy pendant link.  A
-    # heavy link fits only on w1.  Every node stays at 10 only with all three
-    # light links on the other channel, which on w0 overloads the triangle's
-    # odd set (1.2 > 1) though every node constraint holds (0.8 <= 1); the
-    # best feasible assignment moves one light link to w1, at 10.1.
+    # node stays at 10 only if the light links all avoid the heavy links'
+    # channel.  Heavy links fit only on w1, and the light triangle on w0
+    # overloads its odd set (1.2 > 1) though every node constraint holds
+    # (0.8 <= 1).  The best feasible assignment moves one light link to w1,
+    # at 10.1.
     light, heavy = [0.1] * 3, [10.0] * 3
     net = make_network(
         6,
