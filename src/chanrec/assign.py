@@ -49,57 +49,87 @@ def edge_color(net: Network) -> EdgeColoring:
     State per node v: ``at[v][c]`` is the neighbor joined to v by the edge of
     color c, or -1 when c is free at v, and the int bitmask ``used[v]`` has
     bit c set iff c is taken at v.  Fan candidates are the set bits of
-    ``used[u] & ~used[last]``, the first free color is the lowest zero bit,
-    and the edge colors are read off ``at`` at the end.
+    ``used[u] & ~used[last]`` that are not yet fan colors, the first free
+    color is the lowest zero bit, and the edge colors are read off ``at`` at
+    the end.  When every color at u is also taken at v the fan is just v,
+    and the edge takes the lowest color free at v with no flip or rotation.
     """
     at = [[-1] * (net.max_degree + 1) for _ in range(net.n_nodes)]
     used = [0] * net.n_nodes
     for u0, v0 in net.edges:
         at_u0, used_u0 = at[u0], used[u0]
-        # cols[j] is the color of edge (u0, fan[j]); the first is uncolored
-        fan, cols = [v0], [-1]
-        while True:
-            cand = used_u0 & ~used[fan[-1]]
-            nxt = -1
+        cand = used_u0 & ~used[v0]
+        if not cand:
+            # every color taken at u0 is taken at v0: the fan is [v0], and
+            # the lowest color free at v0 is free at u0 too, so no path flips
+            free = ~used[v0]
+            d = (free & -free).bit_length() - 1
+        else:
+            # cols[j] is the color of edge (u0, fan[j]); the first is
+            # uncolored.  The edge of color col at u0 leads into the fan iff
+            # col is in fanned, so the candidates are the colors outside it
+            fan, cols, fanned = [v0], [-1], 0
             while cand:
-                bit = cand & -cand
-                cand ^= bit
-                col = bit.bit_length() - 1
-                wnode = at_u0[col]
-                if (nxt < 0 or wnode < nxt) and wnode not in fan:
-                    nxt, nxt_col = wnode, col
-            if nxt < 0:
-                break
-            fan.append(nxt)
-            cols.append(nxt_col)
+                if cand & (cand - 1):
+                    nxt = -1
+                    while cand:
+                        bit = cand & -cand
+                        cand ^= bit
+                        col = bit.bit_length() - 1
+                        wnode = at_u0[col]
+                        if nxt < 0 or wnode < nxt:
+                            nxt, nxt_col = wnode, col
+                else:
+                    nxt_col = cand.bit_length() - 1
+                    nxt = at_u0[nxt_col]
+                fan.append(nxt)
+                cols.append(nxt_col)
+                fanned |= 1 << nxt_col
+                cand = used_u0 & ~used[nxt] & ~fanned
 
-        free_u0, free_last = ~used[u0], ~used[fan[-1]]
-        c = (free_u0 & -free_u0).bit_length() - 1
-        d = (free_last & -free_last).bit_length() - 1
-        if c != d and used[u0] >> d & 1:
-            _invert_path(at, used, u0, c, d)
-            cols = [c if col == d else col for col in cols]
+            free_u0, free_last = ~used_u0, ~used[nxt]
+            c = (free_u0 & -free_u0).bit_length() - 1
+            d = (free_last & -free_last).bit_length() - 1
+            flip = c != d and used_u0 >> d & 1
+            if flip:
+                _invert_path(at, used, u0, c, d)
 
-        # rotate the shortest fan prefix ending at a vertex with d free; a
-        # prefix is a fan only if each edge's color is free at the previous
-        # vertex, so the scan stops at the first edge that breaks this
-        for w_idx, x in enumerate(fan):
-            if not used[x] >> d & 1:
-                break
-            if w_idx + 1 == len(fan) or used[x] >> cols[w_idx + 1] & 1:
-                raise AssertionError("no rotatable fan prefix; coloring bug")
+            if used[v0] >> d & 1:
+                if flip:  # the fan edges of color d now have color c
+                    cols = [c if col == d else col for col in cols]
+                # rotate the shortest fan prefix ending at a vertex with d
+                # free; a prefix is a fan only if each edge's color is free
+                # at the previous vertex, so the scan stops at the first edge
+                # that breaks this
+                for w_idx, x in enumerate(fan):
+                    if not used[x] >> d & 1:
+                        break
+                    if w_idx + 1 == len(fan) or used[x] >> cols[w_idx + 1] & 1:
+                        raise AssertionError("no rotatable fan prefix; coloring bug")
 
-        # fan[j] takes the color of edge (u0, fan[j + 1]), fan[w_idx] takes d
-        for j, cc in enumerate(cols[1 : w_idx + 1] + [d]):
-            x = fan[j]
-            at[x][cc] = u0
-            at_u0[cc] = x
-            used[x] |= 1 << cc
-            if j:
-                at[x][cols[j]] = -1
-                used[x] ^= 1 << cols[j]
+                # fan[j] takes the color of edge (u0, fan[j + 1]), fan[w_idx]
+                # takes d
+                for j, cc in enumerate(cols[1 : w_idx + 1] + [d]):
+                    x = fan[j]
+                    at[x][cc] = u0
+                    at_u0[cc] = x
+                    used[x] |= 1 << cc
+                    if j:
+                        at[x][cols[j]] = -1
+                        used[x] ^= 1 << cols[j]
+                used[u0] |= 1 << d
+                continue
+        # d is free at both ends: the edge takes it
+        at[v0][d] = u0
+        at_u0[d] = v0
+        used[v0] |= 1 << d
         used[u0] |= 1 << d
-    return EdgeColoring(tuple(at[u].index(v) for u, v in net.edges))
+    if not net.n_edges:
+        return EdgeColoring(())
+    # edge (u, v) has the color c with at[u][c] == v, one per row
+    ends = net.edge_array
+    colors = (np.array(at)[ends[:, 0]] == ends[:, 1:]).argmax(axis=1)
+    return EdgeColoring(tuple(colors.tolist()))
 
 
 def _invert_path(at: list[list[int]], used: list[int], u0: int, c: int, d: int) -> None:
@@ -145,19 +175,14 @@ def ifa_assign(net: Network) -> ChannelAssignment:
     channels than colors every class keeps a private channel and the result
     is interference-free.
     """
-    coloring = edge_color(net)
-    totals: dict[int, float] = {}
-    members: dict[int, list[int]] = {}
-    for e, c in enumerate(coloring.color_of):
-        totals[c] = totals.get(c, 0.0) + net.demands[e]
-        members.setdefault(c, []).append(e)
-    ranked = sorted(totals, key=lambda c: (-totals[c], c))
-    channel_of = [-1] * net.n_edges
-    for i, c in enumerate(ranked):
-        w = i % net.n_channels
-        for e in members[c]:
-            channel_of[e] = w
-    return ChannelAssignment(tuple(channel_of))
+    colors = np.array(edge_color(net).color_of, dtype=np.intp)
+    # class totals added in edge order; absent colors total 0.0 and rank
+    # after every class, as all demands are positive
+    totals = np.bincount(colors, net.demand_array)
+    ranked = np.argsort(-totals, kind="stable")  # ties: lower color first
+    channel = np.empty(len(ranked), dtype=np.intp)
+    channel[ranked] = np.arange(len(ranked)) % net.n_channels
+    return ChannelAssignment(tuple(channel.take(colors).tolist()))
 
 
 def random_assign(net: Network, seed: int) -> ChannelAssignment:

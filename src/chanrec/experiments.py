@@ -91,13 +91,26 @@ def generate_instance(spec: InstanceSpec, seed: int) -> Network:
     us, vs = np.triu_indices(n, 1)
     visit = rng.permutation(len(us))
     heads = visit[rng.random(len(visit)) < spec.edge_prob]
+    cap = spec.degree_cap
     degree = [0] * n
     edges: list[tuple[int, int]] = []
-    for u, v in zip(us[heads].tolist(), vs[heads].tolist()):
-        if degree[u] < spec.degree_cap and degree[v] < spec.degree_cap:
-            edges.append((u, v))
-            degree[u] += 1
-            degree[v] += 1
+    # the heads are read in windows of doubling size; degrees only grow, so
+    # a pair at a node already at the cap would be refused when read, and a
+    # window drops such pairs unread
+    start, size = 0, 2 * n
+    while start < len(heads):
+        window = heads[start : start + size]
+        us_w, vs_w = us[window], vs[window]
+        if start:  # no node is at the cap before the first window
+            is_open = np.array(degree) < cap
+            keep = is_open[us_w] & is_open[vs_w]
+            us_w, vs_w = us_w[keep], vs_w[keep]
+        for u, v in zip(us_w.tolist(), vs_w.tolist()):
+            if degree[u] < cap and degree[v] < cap:
+                edges.append((u, v))
+                degree[u] += 1
+                degree[v] += 1
+        start, size = start + size, 2 * size
     demands = rng.uniform(*spec.demand_range, len(edges)).tolist()
     per_channel = rng.uniform(*spec.capacity_range, spec.n_channels).tolist()
     return Network(

@@ -268,21 +268,22 @@ def _triple_loads(
     Each row adds its edges in edge-index order, as the subset lattice does,
     so the rows equal the lattice's 3-node rows bit for bit.  The table has
     the weights' dtype and is column-major.  Costs O(sum of squared degrees)
-    plus an n x n edge-id table.
+    plus an n x n edge-id table of the narrowest integer type that holds
+    the edge ids.
     """
     n, m = net.n_nodes, net.n_edges
     ends = net.edge_array
-    # the 2m (node, other end, edge) incidences, sorted by node, then edge
-    node, other = ends.T.ravel(), ends[:, ::-1].T.ravel()
-    edge = np.tile(np.arange(m), 2)
-    order = np.lexsort((edge, node))
-    node, other, edge = node[order], other[order], edge[order]
+    # the 2m incidences: 2e and 2e + 1 are edge e's, at its ends u and v.  A
+    # stable sort by node orders each node's incidences by edge
+    order = np.argsort(ends.ravel(), kind="stable")
+    node, other, edge = ends.ravel()[order], ends[:, ::-1].ravel()[order], order >> 1
     # pair each incidence with every later one at the same node
     later = np.searchsorted(node, node, side="right") - np.arange(2 * m) - 1
     first = np.repeat(np.arange(2 * m), later)
     step = np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
     second = first + step + 1
-    edge_id = np.full((n, n), -1, dtype=np.int64)
+    # the narrowest signed type that holds -1 and every edge id
+    edge_id = np.full((n, n), -1, dtype=np.min_scalar_type(-1 - m))
     edge_id[ends[:, 0], ends[:, 1]] = edge_id[ends[:, 1], ends[:, 0]] = np.arange(m)
     e, f = edge[first], edge[second]
     g = edge_id[other[first], other[second]]
@@ -290,12 +291,15 @@ def _triple_loads(
     e, f, g = e[keep], f[keep], g[keep]
 
     channel = np.asarray(y.channel_of, dtype=np.int64)
-    loads = np.zeros((len(e), net.n_channels), dtype=weights.dtype, order="F")
-    rows = np.arange(len(e))
-    loads[rows, channel[e]] += weights[e]
-    loads[rows, channel[f]] += weights[f]
+    rows = len(e)
+    loads = np.zeros((rows, net.n_channels), dtype=weights.dtype, order="F")
+    # cell (r, c) of the column-major table is flat[r + c * rows]
+    flat = loads.reshape(-1, order="F")
+    cells = np.arange(rows)
+    flat[cells + channel[e] * rows] += weights[e]
+    flat[cells + channel[f] * rows] += weights[f]
     tri = g >= 0
-    loads[rows[tri], channel[g[tri]]] += weights[g[tri]]
+    flat[cells[tri] + channel[g[tri]] * rows] += weights[g[tri]]
     return loads
 
 

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from chanrec import assign
 from chanrec.assign import EdgeColoring
 from chanrec.netmodel import ChannelAssignment, Network
 
@@ -224,6 +225,25 @@ def greedy_reference(net):
         channel_of[e] = w
         loads[u, w] += net.demands[e]
         loads[v, w] += net.demands[e]
+    return ChannelAssignment(tuple(channel_of))
+
+
+def ifa_reference(net):
+    """``ifa_assign`` with per-class dicts: class totals added in edge order,
+    classes ranked by descending total (ties: lower color first), class i on
+    channel i mod n_channels.  Colors are ``assign.edge_color``'s, looked up
+    at call time."""
+    coloring = assign.edge_color(net)
+    totals = {}
+    members = {}
+    for e, c in enumerate(coloring.color_of):
+        totals[c] = totals.get(c, 0.0) + net.demands[e]
+        members.setdefault(c, []).append(e)
+    ranked = sorted(totals, key=lambda c: (-totals[c], c))
+    channel_of = [-1] * net.n_edges
+    for i, c in enumerate(ranked):
+        for e in members[c]:
+            channel_of[e] = i % net.n_channels
     return ChannelAssignment(tuple(channel_of))
 
 

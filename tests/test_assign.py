@@ -10,11 +10,13 @@ from brute import (
     brute_m1,
     edge_color_reference,
     greedy_reference,
+    ifa_reference,
     incident_edges,
     is_proper_edge_coloring,
     node_channel_load,
     sequential_proper_assignment,
 )
+from chanrec import assign
 from chanrec.assign import (
     EdgeColoring,
     edge_color,
@@ -220,6 +222,44 @@ def test_ifa_interference_free_when_channels_exceed_degree():
         y = ifa_assign(net)
         if net.n_channels > net.max_degree:
             assert is_interference_free(net, y), trial
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_networks())
+def test_ifa_matches_dict_reference(net):
+    # uniform demands tie whole color classes of one size: the lower color
+    # ranks first
+    assert ifa_assign(net).channel_of == ifa_reference(net).channel_of
+
+
+def test_ifa_ranks_tied_classes_lower_color_first():
+    # the 4-cycle is colored (2, 1, 2, 0): class 2 carries 2.0 and takes
+    # channel 0; classes 0 and 1 tie at 1.0, and class 0 ranks first
+    cycle = make_network(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [1.0] * 4, 3)
+    assert edge_color(cycle).color_of == (2, 1, 2, 0)
+    assert ifa_assign(cycle).channel_of == (0, 2, 0, 1) == ifa_reference(cycle).channel_of
+    # class 1 at 3.0 ranks before class 2 at 2.0, then class 0
+    heavy = make_network(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [1.0, 3.0, 1.0, 1.0], 3)
+    assert edge_color(heavy).color_of == (2, 1, 2, 0)
+    assert ifa_assign(heavy).channel_of == (1, 0, 1, 2) == ifa_reference(heavy).channel_of
+    # one channel folds every class onto it
+    single = make_network(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [1.0] * 4, 1)
+    assert ifa_assign(single).channel_of == (0,) * 4 == ifa_reference(single).channel_of
+
+
+def test_ifa_on_edgeless_network():
+    for n in (0, 1, 4):
+        net = make_network(n, [], [], 2)
+        assert ifa_assign(net).channel_of == () == ifa_reference(net).channel_of
+
+
+def test_ifa_ranks_colors_without_edges_last(monkeypatch):
+    # a coloring may leave colors unused; they rank after every class, so
+    # the classes keep their channels
+    net = make_network(5, [(0, 1), (1, 2), (2, 3), (3, 4)], [1.0, 2.0, 2.0, 1.0], 2)
+    for colors in ((5, 2, 5, 0), (3, 1, 0, 3), (0, 4, 0, 4)):
+        monkeypatch.setattr(assign, "edge_color", lambda _, c=colors: EdgeColoring(c))
+        assert ifa_assign(net).channel_of == ifa_reference(net).channel_of
 
 
 def test_ifa_on_triangle_matches_largest_demand():

@@ -8,6 +8,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from brute import generate_instance_scalar
 from chanrec import experiments
@@ -72,6 +74,16 @@ def test_generator_deterministic_per_seed():
     assert generate_instance(spec, 7) != generate_instance(spec, 8)
 
 
+def _assert_same_instance(ours, ref, case):
+    assert ours.edges == ref.edges, case
+    assert [r.hex() for r in ours.demands] == [r.hex() for r in ref.demands], case
+    assert [[c.hex() for c in row] for row in ours.capacity] == [
+        [c.hex() for c in row] for row in ref.capacity
+    ], case
+    assert ours.node_names == ref.node_names
+    assert ours.channel_names == ref.channel_names
+
+
 def test_generator_matches_scalar_draws_bitwise():
     # the library draws all coins, demands and capacities in one call each;
     # the reference draws one value per call in the same order
@@ -84,17 +96,36 @@ def test_generator_matches_scalar_draws_bitwise():
                     spec = InstanceSpec(n, 1 + 3 * i, p, cap, demand, capacity)
                     for s in range(3):
                         seed = derive_seed(n * 1000 + cap, s)
-                        ours = generate_instance(spec, seed)
                         ref = generate_instance_scalar(spec, seed)
-                        assert ours.edges == ref.edges, (spec, seed)
-                        assert [r.hex() for r in ours.demands] == [
-                            r.hex() for r in ref.demands
-                        ], (spec, seed)
-                        assert [[c.hex() for c in row] for row in ours.capacity] == [
-                            [c.hex() for c in row] for row in ref.capacity
-                        ], (spec, seed)
-                        assert ours.node_names == ref.node_names
-                        assert ours.channel_names == ref.channel_names
+                        _assert_same_instance(
+                            generate_instance(spec, seed), ref, (spec, seed)
+                        )
+
+
+@st.composite
+def generator_specs(draw):
+    n = draw(st.integers(min_value=1, max_value=80))
+    return InstanceSpec(
+        n_nodes=n,
+        n_channels=draw(st.integers(min_value=1, max_value=4)),
+        edge_prob=draw(st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0)),
+        degree_cap=draw(st.integers(min_value=0, max_value=n + 1)),
+    )
+
+
+# the generator reads the pairs in windows of 2n, 4n, ... pairs and drops
+# the pairs at nodes already at the cap; at n = 80 and edge_prob 1 the 3,160
+# pairs take five windows, of which a cap of 2 drops 2,950 pairs and a cap of
+# n - 1 or more drops none
+@settings(max_examples=150, deadline=None)
+@example(spec=InstanceSpec(80, 2, 1.0, 2), seed=derive_seed(80, 2))
+@example(spec=InstanceSpec(80, 3, 0.6, 3), seed=derive_seed(80, 3))
+@example(spec=InstanceSpec(80, 2, 1.0, 79), seed=derive_seed(80, 79))
+@example(spec=InstanceSpec(80, 1, 0.6, 81), seed=derive_seed(80, 100))
+@given(spec=generator_specs(), seed=st.integers(min_value=0, max_value=2**64 - 1))
+def test_generator_matches_scalar_draws_on_random_specs(spec, seed):
+    ref = generate_instance_scalar(spec, seed)
+    _assert_same_instance(generate_instance(spec, seed), ref, (spec, seed))
 
 
 def _reference_degree_sample(n, p, cap, trials, seed):

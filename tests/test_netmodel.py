@@ -1,5 +1,6 @@
 """Model construction, validation, and the two JSON document formats."""
 
+import collections
 import json
 import math
 
@@ -144,6 +145,81 @@ def test_network_refuses_ratios_out_of_float_range():
         Network(("a", "b"), ("w",), ((0, 1),), (2**1100,), ((1.0,),))
     with pytest.raises(FormatError, match="do not form numeric arrays"):
         Network(("a", "b", "c"), ("w",), ((0, 1), (1, 2)), (2**1100, 1.0), ((1.0, 1.0),))
+
+
+def _pairs_network(edges, demands=None, capacity=None, channels=1):
+    m = len(edges)
+    return Network(
+        tuple(f"n{i}" for i in range(4)),
+        tuple(f"w{i}" for i in range(channels)),
+        edges,
+        (1.0,) * m if demands is None else demands,
+        tuple((1.0,) * m for _ in range(channels)) if capacity is None else capacity,
+    )
+
+
+@pytest.mark.parametrize(
+    "edges, demands, capacity, msg",
+    [
+        # ragged rows and rows of three, also where the flat count is even
+        (((0, 1), (1,)), None, None, r"^edges\[1\]: not a pair of endpoints$"),
+        (((0, 1, 2), (1,)), None, None, r"^edges\[0\]: not a pair of endpoints$"),
+        (((0, 1), (1, 2, 3)), None, None, r"^edges\[1\]: not a pair of endpoints$"),
+        (((0, 1), 5), None, None, r"^edges\[1\]: not a pair of endpoints$"),
+        (((0, 1), None), None, None, r"^edges\[1\]: not a pair of endpoints$"),
+        # float, string and nested endpoints
+        (((0, 1), (1, 2.0)), None, None, r"^edges\[1\]: non-integer endpoint$"),
+        ((np.array([0.0, 1.0]),), None, None, r"^edges\[0\]: non-integer endpoint$"),
+        (((np.float64(0), np.float64(1)),), None, None, r"^edges\[0\]: non-integer endpoint$"),
+        (("01",), None, None, r"^edges\[0\]: non-integer endpoint$"),
+        ((("0", "1"),), None, None, r"^edges\[0\]: non-integer endpoint$"),
+        ((((0, 1), (1, 2)),), None, None, r"^edges\[0\]: non-integer endpoint$"),
+        ((((0,), (1,)), ((1,), (2,))), None, None, r"^edges\[0\]: non-integer endpoint$"),
+        # pairs that are not sequences
+        (({0: 0, 1: 1},), None, None, "^network: entries do not form numeric arrays$"),
+        (({0, 1},), None, None, "^network: entries do not form numeric arrays$"),
+        # ints beyond float range in demand or capacity
+        (((0, 1), (1, 2)), (1.0, 2**1030), None, "do not form numeric arrays$"),
+        (((0, 1), (1, 2)), None, ((1.0, 10**400),), "do not form numeric arrays$"),
+        # NaN capacity; a numpy scalar entry is checked like a Python one
+        (((0, 1), (1, 2)), None, ((1.0, math.nan),), r"^capacity\[0\]\[1\]: non-finite capacity$"),
+        (((0, 1),), None, ((np.float64(math.nan),),), r"^capacity\[0\]\[0\]: non-finite capacity$"),
+        (((0, 1),), (np.float32(-1.0),), None, r"^edges\[0\]: nonpositive demand$"),
+        (((0, 1),), None, (("1.0",),), r"^capacity\[0\]\[0\]: non-numeric capacity$"),
+    ],
+)
+def test_network_messages_on_malformed_rows(edges, demands, capacity, msg):
+    # the messages are the same whether the rows are read as one flat list
+    # or as nested sequences
+    with pytest.raises(FormatError, match=msg):
+        _pairs_network(edges, demands, capacity)
+
+
+def test_network_accepts_the_rows_numpy_accepts():
+    # list rows next to tuple rows, bool and numpy integer endpoints, numpy
+    # rows, tuple subclasses and numpy float entries convert as np.array
+    # converts the nested rows
+    point = collections.namedtuple("point", "u v")
+    for edges in (
+        ((0, 1), [1, 2]),
+        [(0, 1), (1, 2)],
+        ((False, True), (True, 2)),
+        ((np.int64(0), np.int32(1)), (np.uint8(1), np.bool_(True) + 1)),
+        (np.array([0, 1]), (1, 2)),
+        (point(0, 1), (1, 2)),
+    ):
+        net = _pairs_network(edges)
+        assert net.edge_array.dtype == np.intp
+        assert net.edge_array.tolist() == [[0, 1], [1, 2]]
+    net = _pairs_network(
+        ((0, 1), (1, 2)),
+        (np.float32(0.1), True),
+        ((np.float32(0.1), 3), [np.float64(0.3), 2.5]),
+        channels=2,
+    )
+    assert net.demand_array.tolist() == [float(np.float32(0.1)), 1.0]
+    assert net.capacity_array.tolist() == [[float(np.float32(0.1)), 3.0], [0.3, 2.5]]
+    assert _pairs_network((), (), ((), ()), channels=2).capacity_array.shape == (2, 0)
 
 
 def test_network_rejects_non_finite_numbers():
