@@ -94,10 +94,11 @@ def generate_instance(spec: InstanceSpec, seed: int) -> Network:
     cap = spec.degree_cap
     degree = [0] * n
     edges: list[tuple[int, int]] = []
-    # the heads are read in windows of doubling size; degrees only grow, so
-    # a pair at a node already at the cap would be refused when read, and a
-    # window drops such pairs unread
-    start, size = 0, 2 * n
+    # the heads are read in windows of doubling size, the first of n * cap
+    # pairs, twice as many as the edges an instance can hold (so one window
+    # at the oracle sizes); degrees only grow, so a pair at a node already at
+    # the cap would be refused when read, and a window drops such pairs unread
+    start, size = 0, n * max(cap, 1)
     while start < len(heads):
         window = heads[start : start + size]
         us_w, vs_w = us[window], vs[window]

@@ -113,10 +113,11 @@ def generator_specs(draw):
     )
 
 
-# the generator reads the pairs in windows of 2n, 4n, ... pairs and drops
-# the pairs at nodes already at the cap; at n = 80 and edge_prob 1 the 3,160
-# pairs take five windows, of which a cap of 2 drops 2,950 pairs and a cap of
-# n - 1 or more drops none
+# the generator reads the pairs in windows of n * cap, 2 n * cap, ... pairs
+# and drops the pairs at nodes already at the cap.  At n = 80 the examples
+# read five windows and drop 2,950 of 3,160 pairs (cap 2, edge_prob 1), read
+# four and drop 1,594 of 1,878 (cap 3), or read one and drop none (cap n - 1
+# or more)
 @settings(max_examples=150, deadline=None)
 @example(spec=InstanceSpec(80, 2, 1.0, 2), seed=derive_seed(80, 2))
 @example(spec=InstanceSpec(80, 3, 0.6, 3), seed=derive_seed(80, 3))
