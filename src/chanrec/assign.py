@@ -70,18 +70,14 @@ def edge_color(net: Network) -> EdgeColoring:
             # col is in fanned, so the candidates are the colors outside it
             fan, cols, fanned = [v0], [-1], 0
             while cand:
-                if cand & (cand - 1):
-                    nxt = -1
-                    while cand:
-                        bit = cand & -cand
-                        cand ^= bit
-                        col = bit.bit_length() - 1
-                        wnode = at_u0[col]
-                        if nxt < 0 or wnode < nxt:
-                            nxt, nxt_col = wnode, col
-                else:
-                    nxt_col = cand.bit_length() - 1
-                    nxt = at_u0[nxt_col]
+                nxt = -1
+                while cand:
+                    bit = cand & -cand
+                    cand ^= bit
+                    col = bit.bit_length() - 1
+                    wnode = at_u0[col]
+                    if nxt < 0 or wnode < nxt:
+                        nxt, nxt_col = wnode, col
                 fan.append(nxt)
                 cols.append(nxt_col)
                 fanned |= 1 << nxt_col
