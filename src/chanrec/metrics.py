@@ -268,8 +268,7 @@ def _triple_loads(
     Each row adds its edges in edge-index order, as the subset lattice does,
     so the rows equal the lattice's 3-node rows bit for bit.  The table has
     the weights' dtype and is column-major.  Costs O(sum of squared degrees)
-    plus an n x n edge-id table of the narrowest integer type that holds
-    the edge ids.
+    plus an n x n edge-id table.
     """
     n, m = net.n_nodes, net.n_edges
     ends = net.edge_array
@@ -282,8 +281,7 @@ def _triple_loads(
     first = np.repeat(np.arange(2 * m), later)
     step = np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
     second = first + step + 1
-    # the narrowest signed type that holds -1 and every edge id
-    edge_id = np.full((n, n), -1, dtype=np.min_scalar_type(-1 - m))
+    edge_id = np.full((n, n), -1, dtype=np.int64)
     edge_id[ends[:, 0], ends[:, 1]] = edge_id[ends[:, 1], ends[:, 0]] = np.arange(m)
     e, f = edge[first], edge[second]
     g = edge_id[other[first], other[second]]
@@ -291,15 +289,12 @@ def _triple_loads(
     e, f, g = e[keep], f[keep], g[keep]
 
     channel = np.asarray(y.channel_of, dtype=np.int64)
-    rows = len(e)
-    loads = np.zeros((rows, net.n_channels), dtype=weights.dtype, order="F")
-    # cell (r, c) of the column-major table is flat[r + c * rows]
-    flat = loads.reshape(-1, order="F")
-    cells = np.arange(rows)
-    flat[cells + channel[e] * rows] += weights[e]
-    flat[cells + channel[f] * rows] += weights[f]
+    loads = np.zeros((len(e), net.n_channels), dtype=weights.dtype, order="F")
+    rows = np.arange(len(e))
+    loads[rows, channel[e]] += weights[e]
+    loads[rows, channel[f]] += weights[f]
     tri = g >= 0
-    flat[cells[tri] + channel[g[tri]] * rows] += weights[g[tri]]
+    loads[rows[tri], channel[g[tri]]] += weights[g[tri]]
     return loads
 
 

@@ -14,7 +14,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -31,28 +30,10 @@ def _require(cond: bool, msg: str) -> None:
 
 def _array(values: Sequence, shape: tuple, kinds: str, dtype: type) -> np.ndarray | None:
     """``values`` cast to ``dtype``, or None unless they form an array of
-    ``shape`` whose dtype kind is in ``kinds``.
-
-    Rows of pairs, such as edges, that are all tuples or lists of length 2
-    are read as one flat list: numpy discovers the shape of nested sequences
-    row by row, which costs more than the flat read for short rows.  The
-    leaves are the same, and so are the dtype and the array.  Other rows,
-    ragged ones among them, go to ``np.array`` as they are.
-    """
+    ``shape`` whose dtype kind is in ``kinds``."""
     try:
-        if not len(values):  # np.array(()) would be a float array of shape (0,)
-            a = np.zeros((0, *shape[1:]), np.intp)
-        elif (
-            shape[1:] == (2,)
-            and set(map(type, values)) <= {tuple, list}
-            and set(map(len, values)) == {2}
-        ):
-            a = np.array(list(chain.from_iterable(values)))
-            if a.ndim != 1:  # the leaves are sequences: no array of this shape
-                return None
-            a = a.reshape(-1, 2)
-        else:
-            a = np.array(values)
+        # np.array(()) would be a float array of shape (0,)
+        a = np.array(values) if len(values) else np.zeros((0, *shape[1:]), np.intp)
     except ValueError:  # ragged
         return None
     return a.astype(dtype) if a.shape == shape and a.dtype.kind in kinds else None
