@@ -161,7 +161,7 @@ def _pairs_network(edges, demands=None, capacity=None, channels=1):
 @pytest.mark.parametrize(
     "edges, demands, capacity, msg",
     [
-        # ragged rows and rows of three, also where the flat count is even
+        # ragged rows and rows of three, also where the entry count is even
         (((0, 1), (1,)), None, None, r"^edges\[1\]: not a pair of endpoints$"),
         (((0, 1, 2), (1,)), None, None, r"^edges\[0\]: not a pair of endpoints$"),
         (((0, 1), (1, 2, 3)), None, None, r"^edges\[1\]: not a pair of endpoints$"),
@@ -189,8 +189,7 @@ def _pairs_network(edges, demands=None, capacity=None, channels=1):
     ],
 )
 def test_network_messages_on_malformed_rows(edges, demands, capacity, msg):
-    # the messages are the same whether the rows are read as one flat list
-    # or as nested sequences
+    # each malformed row is reported with the message Network has always given
     with pytest.raises(FormatError, match=msg):
         _pairs_network(edges, demands, capacity)
 
@@ -198,7 +197,7 @@ def test_network_messages_on_malformed_rows(edges, demands, capacity, msg):
 def test_network_accepts_the_rows_numpy_accepts():
     # list rows next to tuple rows, bool and numpy integer endpoints, numpy
     # rows, tuple subclasses and numpy float entries convert as np.array
-    # converts the nested rows
+    # converts them
     point = collections.namedtuple("point", "u v")
     for edges in (
         ((0, 1), [1, 2]),
