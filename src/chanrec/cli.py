@@ -25,10 +25,10 @@ from .assign import edge_color, greedy_assign, ifa_assign, random_assign, serial
 from .experiments import (
     DEFAULT_MASTER_SEED,
     DEFAULT_STUDY_BUDGET,
+    _csv_text,
     run_gap_study,
     run_scaling_study,
     run_traffic_study,
-    write_records_csv,
 )
 from .metrics import evaluate
 from .netmodel import parse_assignment, parse_network, serialize_assignment
@@ -168,7 +168,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
     else:
         records, summary = run_traffic_study(budget=args.budget, **common)
     if args.out:
-        write_records_csv(records, args.out)
+        _write_out(_csv_text(records), args.out)
     if args.summary or not args.out:
         _write_out(_render(summary) + "\n", args.summary)
     return EXIT_OK
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--edge-prob", type=float, default=None)
     p_study.add_argument("--capacity-range", type=float, nargs=2, default=None)
     p_study.add_argument("--demand-range", type=float, nargs=2, default=None)
-    p_study.add_argument("--out", default=None, help="CSV output path")
+    p_study.add_argument("--out", default=None, help="CSV output path (- for stdout)")
     p_study.add_argument("--summary", default=None, help="JSON summary path")
     p_study.set_defaults(fn=_cmd_study)
 

@@ -175,11 +175,13 @@ class ExperimentRecord:
         )
 
 
+def _csv_text(records: Iterable[ExperimentRecord]) -> str:
+    return "".join([CSV_HEADER + "\n"] + [rec.csv_row() + "\n" for rec in records])
+
+
 def write_records_csv(records: Iterable[ExperimentRecord], path: str) -> None:
     with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for rec in records:
-            fh.write(rec.csv_row() + "\n")
+        fh.write(_csv_text(records))
 
 
 def make_record(

@@ -30,9 +30,13 @@ values part by part with the same IEEE additions, so each part is bit for
 bit what that weight alone would give.  Per channel, the odd sets' loads
 are folded into running reductions (``_odd_set_extremes``): the sum of the
 k largest real parts (``_topk_sum``, the reduction the node term and the
-oracle leaves also use) and the largest imaginary part per odd set.  No
-odd set by channel table is kept; an exact-mode witness recomputes the
+oracle leaves also use) and the largest imaginary part per odd set.  Exact
+mode keeps no odd set by channel table; its witness recomputes the
 per-channel loads of its one set in edge-index order (``_set_loads``).
+Bracket mode does build its whole wedge by channel table
+(``_triple_loads``), one complex row per listed set.  Every table reads the
+assignment as one index array, ``channel``, which :func:`evaluate` builds
+once the node term has checked ``y``.
 
 ``mode`` selects which odd sets are listed; the reductions are the same.
 ``"exact"`` lists all odd subsets: per channel, the induced loads of all 2^n
@@ -132,12 +136,11 @@ def _resolve_mode(net: Network, mode: str) -> str:
 
 
 def _node_loads(
-    net: Network, y: ChannelAssignment, weights: Sequence[float] | np.ndarray
+    net: Network, channel: np.ndarray, weights: Sequence[float] | np.ndarray
 ) -> np.ndarray:
-    """loads[v, w]: weight of the edges at node v on channel w, in edge order
-    (``bincount`` adds the cells (u0, w0), (v0, w0), (u1, w1), ... in turn)."""
+    """loads[v, w]: weight of the edges e at node v with channel[e] = w, in
+    edge order (``bincount`` adds the cells (u0, w0), (v0, w0), ... in turn)."""
     n, n_w = net.n_nodes, net.n_channels
-    channel = np.asarray(y.channel_of, dtype=np.intp)
     cells = (net.edge_array * n_w + channel[:, None]).ravel()
     return np.bincount(cells, np.repeat(weights, 2), n * n_w).reshape(n, n_w)
 
@@ -152,21 +155,15 @@ def _odd_masks(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mask_nodes(mask: int) -> tuple[int, ...]:
-    out = []
-    v = 0
     m = int(mask)
-    while m:
-        if m & 1:
-            out.append(v)
-        m >>= 1
-        v += 1
-    return tuple(out)
+    return tuple(v for v in range(m.bit_length()) if m >> v & 1)
 
 
 def _lattice_columns(
-    net: Network, y: ChannelAssignment, weights: np.ndarray
+    net: Network, channel: np.ndarray, weights: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (channel, induced load of every odd subset) per loaded channel.
+    """Yield (c, induced load of every odd subset) per loaded channel c,
+    edge e being on channel[e].
 
     Accumulates on the dense subset lattice: one 2^n buffer of the weights'
     dtype, viewed as an n-dimensional 2x...x2 array in which node u is axis
@@ -187,7 +184,7 @@ def _lattice_columns(
     n = net.n_nodes
     masks, _ = _odd_masks(n)
     on_channel: list[list[int]] = [[] for _ in range(net.n_channels)]
-    for e, c in enumerate(y.channel_of):
+    for e, c in enumerate(channel.tolist()):
         on_channel[c].append(e)
     lattice = np.empty(1 << n, dtype=weights.dtype)
     cube = lattice.reshape((2,) * n)
@@ -259,16 +256,16 @@ def _topk_sum(columns: Iterable[np.ndarray], k: int, rows: int) -> np.ndarray:
 
 
 def _triple_loads(
-    net: Network, y: ChannelAssignment, weights: np.ndarray
+    net: Network, channel: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
     """Per-channel induced load of every 3-node set with two or three edges.
 
     The sets are listed as wedges, two edges e < f at one node; a triangle
     holds three wedges and is kept once, from its two lowest-index edges.
-    Each row adds its edges in edge-index order, as the subset lattice does,
-    so the rows equal the lattice's 3-node rows bit for bit.  The table has
-    the weights' dtype and is column-major.  Costs O(sum of squared degrees)
-    plus an n x n edge-id table.
+    Each row adds each of its edges e in column channel[e], in edge-index
+    order as the subset lattice does, so the rows equal the lattice's 3-node
+    rows bit for bit.  The table has the weights' dtype and is column-major.
+    Costs O(sum of squared degrees) plus an n x n edge-id table.
     """
     n, m = net.n_nodes, net.n_edges
     ends = net.edge_array
@@ -288,7 +285,6 @@ def _triple_loads(
     keep = (g < 0) | (g > f)
     e, f, g = e[keep], f[keep], g[keep]
 
-    channel = np.asarray(y.channel_of, dtype=np.int64)
     loads = np.zeros((len(e), net.n_channels), dtype=weights.dtype, order="F")
     rows = np.arange(len(e))
     loads[rows, channel[e]] += weights[e]
@@ -299,16 +295,16 @@ def _triple_loads(
 
 
 def _set_loads(
-    net: Network, y: ChannelAssignment, weights: np.ndarray, nodes: tuple[int, ...]
+    net: Network, channel: np.ndarray, weights: np.ndarray, nodes: tuple[int, ...]
 ) -> np.ndarray:
-    """Per-channel induced load of one node set, its edges added in
-    edge-index order as the subset lattice adds them, so bit for bit equal
-    to the set's lattice cells."""
+    """Per-channel induced load of one node set, each edge e added at
+    channel[e] in edge-index order as the subset lattice adds them, so bit
+    for bit equal to the set's lattice cells."""
     inside = set(nodes)
     loads = np.zeros(net.n_channels, dtype=weights.dtype)
     for e, (u, v) in enumerate(net.edges):
         if u in inside and v in inside:
-            loads[y.channel_of[e]] += weights[e]
+            loads[channel[e]] += weights[e]
     return loads
 
 
@@ -340,7 +336,8 @@ def max_node_load(
     if net.n_edges == 0:
         return 0.0, None
     k_eff = min(k, net.n_channels)
-    loads = _node_loads(net, y, net.demand_array)
+    channel = np.asarray(y.channel_of, dtype=np.intp)
+    loads = _node_loads(net, channel, net.demand_array)
     per_node = _topk_sum(loads.T, k_eff, net.n_nodes)
     node = int(per_node.argmax())
     best = float(per_node[node])
@@ -351,7 +348,7 @@ def max_node_load(
 
 
 def _odd_set_extremes(
-    net: Network, y: ChannelAssignment, weights: np.ndarray, k_eff: int, mode: str
+    net: Network, channel: np.ndarray, weights: np.ndarray, k_eff: int, mode: str
 ) -> tuple[np.ndarray | None, np.ndarray | int, np.ndarray, np.ndarray]:
     """(masks, sizes, top, peak) over the odd sets ``mode`` lists: every odd
     set in exact mode (streamed from the lattice, one column per channel),
@@ -366,10 +363,10 @@ def _odd_set_extremes(
     if mode == "exact":
         masks, sizes = _odd_masks(net.n_nodes)
         rows = len(masks)
-        columns = _lattice_columns(net, y, weights)
+        columns = _lattice_columns(net, channel, weights)
     else:
         masks, sizes = None, 3
-        table = _triple_loads(net, y, weights)
+        table = _triple_loads(net, channel, weights)
         rows = len(table)
         columns = enumerate(table.T)
     peak = np.zeros(rows)
@@ -572,7 +569,8 @@ def evaluate(
     """
     mode = _resolve_mode(net, mode)
     m1, wit_m1 = max_node_load(net, y, k)  # checks y and k, once
-    rho = net.rho[np.arange(net.n_edges), y.channel_of]
+    channel = np.asarray(y.channel_of, dtype=np.intp)  # y is in range here
+    rho = net.rho[np.arange(net.n_edges), channel]
 
     # Node margin: smallest slack 1/load over node-channel pairs, the first
     # in row-major order on ties; an unloaded pair has slack inf.
@@ -580,7 +578,7 @@ def evaluate(
     wit_z1: NodeConstraintWitness | None = None
     if net.n_edges:
         with np.errstate(divide="ignore"):
-            margins = 1.0 / _node_loads(net, y, rho)
+            margins = 1.0 / _node_loads(net, channel, rho)
         v, w = divmod(int(margins.argmin()), net.n_channels)
         z1, wit_z1 = float(margins[v, w]), NodeConstraintWitness(v, w)
 
@@ -599,7 +597,7 @@ def evaluate(
         demands = net.demand_array
         weights = np.empty(net.n_edges, dtype=np.complex128)
         weights.real, weights.imag = demands, rho
-        masks, sizes, top, peak = _odd_set_extremes(net, y, weights, k_eff, mode)
+        masks, sizes, top, peak = _odd_set_extremes(net, channel, weights, k_eff, mode)
         limits = (sizes - 1) / 2.0  # >= 1, so an unloaded set gives inf
         # a tiny demand may scale to a subnormal value, rounded as it should be
         with np.errstate(divide="ignore", under="ignore"):
@@ -611,12 +609,12 @@ def evaluate(
             # witnesses: the lexicographically first node set attaining each
             # extreme (node sets are distinct, so one row), then its channels
             nodes = _first_set(masks, top == m2_lo)
-            loads = _set_loads(net, y, weights, nodes)
+            loads = _set_loads(net, channel, weights, nodes)
             wit_m2 = OddSetLoadWitness(nodes, _best_channel_set(loads.real, k_eff))
             nodes = _first_set(masks, peak == z2_hi)
             limit = (len(nodes) - 1) / 2.0
             with np.errstate(divide="ignore"):
-                loads = limit / _set_loads(net, y, weights, nodes).imag
+                loads = limit / _set_loads(net, channel, weights, nodes).imag
             wit_z2 = OddSetConstraintWitness(nodes, int(np.argmax(loads == z2_hi)))
         elif not _lists_every_odd_set(net, mode):
             factor = _bracket_factor(net, y)

@@ -289,6 +289,17 @@ def test_study_csv_and_summary(tmp_path):
     assert summary["kind"] == "scaling" and "exponents" in summary
 
 
+def test_study_out_dash_prints_the_csv(tmp_path, monkeypatch, capsys):
+    # "-" is stdout for every output flag, as cli._write_out reads it
+    study = ["study", "--kind", "scaling", "--sizes", "8", "--channels", "2", "--trials", "2"]
+    monkeypatch.chdir(tmp_path)
+    assert main(study + ["--out", "s.csv"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(study + ["--out", "-"]) == 0
+    assert capsys.readouterr().out.encode() == (tmp_path / "s.csv").read_bytes()
+    assert not (tmp_path / "-").exists()
+
+
 def test_study_gap_flags(tmp_path):
     summary_path = tmp_path / "g.json"
     rc = main(

@@ -53,6 +53,11 @@ Y_K3_ONE = ChannelAssignment((0, 0, 0))
 Y_K3_IF = ChannelAssignment((0, 1, 2))
 
 
+def _channel(y):
+    # the index array that evaluate hands the private load helpers
+    return np.asarray(y.channel_of, dtype=np.intp)
+
+
 def test_channel_load_at_node():
     star = make_network(3, [(0, 1), (0, 2)], [2.0, 3.0], 2)
     y = ChannelAssignment((0, 0))
@@ -60,7 +65,7 @@ def test_channel_load_at_node():
     assert node_channel_load(star, y, 0, 1) == 0.0
     assert node_channel_load(K3_W3, Y_K3_IF, 1, 0) in (0.0, 1.0)
     for net, y in ((star, y), (K3_W3, Y_K3_IF), (PATH, Y_ADJACENT), (PATH, Y_SPREAD)):
-        loads = metrics._node_loads(net, y, net.demand_array)
+        loads = metrics._node_loads(net, _channel(y), net.demand_array)
         assert loads.tolist() == [
             [node_channel_load(net, y, v, w) for w in range(net.n_channels)]
             for v in range(net.n_nodes)
@@ -166,7 +171,32 @@ def test_each_public_metric_checks_the_assignment_once(monkeypatch):
             calls.update(check=0, node=0)
             call()
             assert calls["check"] == 1, mode
-            assert calls["node"] <= 1, mode
+            assert calls["node"] == 1, mode
+
+
+@pytest.mark.parametrize(
+    "kind", [np.int64, np.intp, np.uint8, "mixed"], ids=["int64", "intp", "uint8", "mixed"]
+)
+def test_numpy_int_entries_evaluate_as_python_ints(kind):
+    # evaluate reads the entries through one index array; the reports, their
+    # witnesses' plain ints included, are those of the Python-int assignment
+    net = generate_instance(InstanceSpec(n_nodes=8, n_channels=3), 11)
+    for y in (greedy_assign(net), ifa_assign(net), random_assign(net, 2)):
+        if kind == "mixed":
+            kinds = itertools.cycle([int, np.int64, np.intp, np.uint8])
+            entries = tuple(t(c) for t, c in zip(kinds, y.channel_of))
+        else:
+            entries = tuple(kind(c) for c in y.channel_of)
+        as_numpy = ChannelAssignment(entries)
+        for mode in ("exact", "bracket", "auto"):
+            for k in (1, 2, 3):
+                got, want = (metrics.evaluate(net, x, k, mode) for x in (as_numpy, y))
+                assert got == want and repr(got) == repr(want), (mode, k)
+    # an entry beyond intp is refused by the range check, never cast
+    huge = ChannelAssignment((0, 2**70) + y.channel_of[2:])
+    for mode in ("exact", "bracket", "auto"):
+        with pytest.raises(ValueError, match=r"^edge 1: channel index \d+ out of range$"):
+            metrics.evaluate(net, huge, 1, mode)
 
 
 def test_reports_hold_plain_floats():
@@ -374,7 +404,7 @@ def _lattice_table(net, y, weights):
     lattice streams; unloaded channels stay zero."""
     masks, sizes = metrics._odd_masks(net.n_nodes)
     loads = np.zeros((len(masks), net.n_channels), dtype=weights.dtype)
-    for c, column in metrics._lattice_columns(net, y, weights):
+    for c, column in metrics._lattice_columns(net, _channel(y), weights):
         loads[:, c] = column
     return masks, sizes, loads
 
@@ -517,7 +547,7 @@ def test_bracket_reads_exact_three_node_loads_bitwise():
         demands = np.asarray(net.demands)
         for weights in (demands, rho):
             _assert_same_rows_bitwise(
-                metrics._triple_loads(net, y, weights),
+                metrics._triple_loads(net, _channel(y), weights),
                 _lattice_triples(net, y, weights),
             )
         _, sizes, loads = _lattice_table(net, y, demands)
@@ -540,7 +570,7 @@ def test_triple_loads_structural_cases():
     matching = make_network(6, [(0, 1), (2, 3), (4, 5)], [0.3, 0.7, 0.1], 2, 2.0)
     y = ChannelAssignment((0, 0, 1))
     demands = np.asarray(matching.demands)
-    assert metrics._triple_loads(matching, y, demands).shape == (0, 2)
+    assert metrics._triple_loads(matching, _channel(y), demands).shape == (0, 2)
     assert max_odd_set_load_bracket(matching, y, 2)[0] == 0.7
     assert feasibility_ratio(matching, y, mode="bracket").z2_hi == 1.0 / (0.7 / 2.0)
 
@@ -548,7 +578,7 @@ def test_triple_loads_structural_cases():
     # orders give 0x1.0126e978d4fe0p+1, one ulp above the exact m2
     tri = make_network(3, [(0, 1), (0, 2), (1, 2)], [0.8, 0.66, 0.549], 2)
     y = ChannelAssignment((1, 1, 1))
-    table = metrics._triple_loads(tri, y, np.asarray(tri.demands))
+    table = metrics._triple_loads(tri, _channel(y), np.asarray(tri.demands))
     assert table.tolist() == [[0.0, (0.8 + 0.66) + 0.549]]
     lo, _ = max_odd_set_load_bracket(tri, y, 1)
     assert lo == (0.8 + 0.66) + 0.549 == max_odd_set_load_exact(tri, y, 1)[0]
@@ -558,7 +588,7 @@ def test_triple_loads_structural_cases():
     star = make_network(5, [(0, 1), (0, 2), (0, 3), (0, 4)], [1.0, 2.0, 4.0, 8.0], 2)
     y = ChannelAssignment((0, 1, 0, 1))
     demands = np.asarray(star.demands)
-    table = metrics._triple_loads(star, y, demands)
+    table = metrics._triple_loads(star, _channel(y), demands)
     _assert_same_rows_bitwise(table, _lattice_triples(star, y, demands))
     assert len(table) == 6
     assert max_odd_set_load_bracket(star, y, 1)[0] == 10.0
@@ -570,7 +600,7 @@ def test_triple_loads_structural_cases():
     y = random_assign(k5, 5)
     rho = k5.rho[np.arange(10), y.channel_of]
     for weights in (np.asarray(k5.demands), rho):
-        table = metrics._triple_loads(k5, y, weights)
+        table = metrics._triple_loads(k5, _channel(y), weights)
         assert len(table) == 10
         _assert_same_rows_bitwise(table, _lattice_triples(k5, y, weights))
 
@@ -607,7 +637,7 @@ def test_bracket_matches_brute_wedges_at_scale():
         rho = net.rho[np.arange(net.n_edges), y.channel_of].tolist()
         wedges, rho_wedges = (wedge_loads(net, y, x) for x in (demands, rho))
         for weights, rows in ((demands, wedges), (rho, rho_wedges)):
-            got = metrics._triple_loads(net, y, np.asarray(weights))
+            got = metrics._triple_loads(net, _channel(y), np.asarray(weights))
             _assert_same_rows_bitwise(got, np.array(list(rows.values())))
         # each row's loads in descending order: its top-k sum is a prefix's
         loads = [sorted(row, reverse=True) for row in node_loads(net, y, demands)]
@@ -679,8 +709,8 @@ def test_node_loads_match_per_edge_loop_bitwise(data):
         tuple(data.draw(st.integers(min_value=0, max_value=w - 1)) for _ in edges)
     )
     want = np.array(node_loads(net, y, weights))
-    assert np.array_equal(metrics._node_loads(net, y, weights), want)
-    assert np.array_equal(metrics._node_loads(net, y, np.array(weights)), want)
+    assert np.array_equal(metrics._node_loads(net, _channel(y), weights), want)
+    assert np.array_equal(metrics._node_loads(net, _channel(y), np.array(weights)), want)
 
 
 @st.composite
