@@ -39,15 +39,18 @@ assignment as one index array, ``channel``, which :func:`evaluate` builds
 once the node term has checked ``y``.
 
 ``mode`` selects which odd sets are listed; the reductions are the same.
-``"exact"`` lists all odd subsets: per channel, the induced loads of all 2^n
-node subsets are accumulated on a dense subset lattice (each edge adds its
-weight to the quarter of the lattice that contains both endpoints), and the
-odd subsets are gathered off it into one reused column
-(``_lattice_columns``).  From 15 nodes up (``_PIN_FROM_NODES``), a node's
-lattice axis stays pinned at its outside half until the channel's first
-edge at that node, so the channel's early edges add to a smaller lattice;
-the cells filled so far are copied across an axis when it is freed, and
-every load is the same bit for bit as without pinning.
+``"exact"`` lists all odd subsets, one row each on a dense parity lattice
+(``_lattice_columns``): with one parity node x fixed, row r is a subset of
+the other nodes, standing for r when its size is odd and for r plus x when
+it is even, so the 2^(n-1) rows are themselves the column the reductions
+read, and witnesses decode only the tied rows (``_row_set``).  An edge
+away from x adds to a quarter of the lattice, an edge at x to the rows of
+even size holding its other end (a cached index, ``_parity_rows``).  The n
+singleton rows keep load 0 and size 3, so they reach neither ``m2`` (at
+least the largest demand) nor a finite ``z2``.  From 16 nodes up
+(``_PIN_FROM_NODES``), a node's axis stays pinned until the channel's first
+edge at it or at x, so early edges add to a smaller lattice; every load is
+the same bit for bit whatever x is and whether axes are pinned.
 ``"bracket"`` lists the 3-node sets with two or three edges, from one
 complex wedge table whose rows add their edges in edge-index order as the
 lattice does (``_triple_loads``), so its odd-set end (``m2_lo``, ``z2_hi``)
@@ -57,7 +60,7 @@ ends are exact.
 ``"auto"`` is exact up to ``ODDSET_EXACT_CAP`` nodes and bracket above.  An
 explicit ``"exact"`` runs up to ``ODDSET_CAP_LIMIT`` nodes and is refused
 above that before anything is allocated: the enumeration allocates arrays of
-2^n entries.
+2^(n-1) entries.
 """
 
 from __future__ import annotations
@@ -73,15 +76,16 @@ from .netmodel import ChannelAssignment, Network, check_assignment, is_proper_la
 
 TOL = 1e-9
 ODDSET_EXACT_CAP = 18
-# at n = 22 the complex subset lattice is 64 MiB, beside the cached odd-mask
-# table (2^21 int64 masks, 16 MiB, plus their uint8 sizes, 2 MiB), one 32 MiB
-# complex column and up to k_eff + 3 float columns of 16 MiB (the running
-# top-k and peak columns and two spares); each further node doubles them all
+# at n = 22 the complex parity lattice is 32 MiB, beside the cached tables of
+# ``_parity_rows`` (2^21 uint8 sizes, 2 MiB, and the x-edge index, 21 rows of
+# 2^19 int32, 42 MiB) and up to k_eff + 3 float columns of 16 MiB (the
+# running top-k and peak columns and two spares); each further node doubles
+# them all
 ODDSET_CAP_LIMIT = 22
-# from this many nodes the subset lattice pins the axes of nodes a channel
+# from this many nodes the parity lattice pins the axes of nodes a channel
 # has not yet touched (``_lattice_columns``); below it the copies that free
 # the axes cost more than the smaller quarter adds save
-_PIN_FROM_NODES = 15
+_PIN_FROM_NODES = 16
 
 IFA_CAPACITY_RATIO_BOUND = 1.25
 
@@ -146,51 +150,98 @@ def _node_loads(
 
 
 @lru_cache(maxsize=8)
-def _odd_masks(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bitmasks of all odd node subsets of size >= 3, with their sizes."""
-    masks = np.arange(1 << n_nodes, dtype=np.int64)
-    sizes = np.bitwise_count(masks)  # uint8
-    keep = (sizes % 2 == 1) & (sizes >= 3)
-    return masks[keep], sizes[keep]
+def _parity_rows(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sizes, at_x) of the parity lattice over ``n_nodes`` nodes.
 
-
-def _mask_nodes(mask: int) -> tuple[int, ...]:
-    m = int(mask)
-    return tuple(v for v in range(m.bit_length()) if m >> v & 1)
-
-
-def _lattice_columns(
-    net: Network, channel: np.ndarray, weights: np.ndarray
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (c, induced load of every odd subset) per loaded channel c,
-    edge e being on channel[e].
-
-    Accumulates on the dense subset lattice: one 2^n buffer of the weights'
-    dtype, viewed as an n-dimensional 2x...x2 array in which node u is axis
-    n-1-u.  Per channel, each edge (u, v) on it adds its weight, in edge-index
-    order, to the quarter of the lattice with both u and v inside; the odd
-    masks are then gathered into one column buffer, which is yielded and
-    overwritten by the next channel.  From ``_PIN_FROM_NODES`` nodes up, a
-    node's axis stays pinned at index 0 until the channel's first edge at
-    that node: the channel starts from the one cell ``lattice[0]``, the
-    filled slice is copied to the node's side 1 just before that edge adds,
-    and the axes of nodes the channel never touches are spread after its
-    last edge.  Until an edge at the node adds, both sides of its axis hold
-    equal values, so every cell receives the same additions in the same
-    order either way.  Complex weights add part by part with the same IEEE
-    additions, so each part equals the lattice of that part alone bit for
-    bit.  No BLAS involved, so results are bitwise reproducible.
+    ``sizes[r]`` is the size of row r's odd set, ``popcount(r) | 1``, raised
+    to 3 on the n singleton rows (popcount 0 or 1), whose loads stay 0.
+    ``at_x[b]`` lists, ascending as int32, the 2^(n-3) rows that hold bit b
+    and have even popcount: the sets holding both bit b's node and the
+    parity node, where an edge between those two lands.
     """
-    n = net.n_nodes
-    masks, _ = _odd_masks(n)
+    half = 1 << (n_nodes - 1)
+    count = np.bitwise_count(np.arange(half, dtype=np.int32))  # uint8
+    sizes = np.maximum(count | 1, 3)
+    # odd-popcount values over n - 2 bits, with bit b inserted
+    rest = np.flatnonzero(count[: half >> 1] & 1).astype(np.int32)
+    at_x = np.empty((n_nodes - 1, len(rest)), dtype=np.int32)
+    for b in range(n_nodes - 1):
+        low = rest & ((1 << b) - 1)
+        at_x[b] = low | (1 << b) | ((rest ^ low) << 1)
+    sizes.flags.writeable = at_x.flags.writeable = False  # shared by the cache
+    return sizes, at_x
+
+
+def _row_set(row: int, x: int) -> tuple[int, ...]:
+    """Nodes of parity-lattice row ``row`` with parity node x: the nodes of
+    its bits (bit b is node b below x, b + 1 from x on), with x added when
+    their count is even."""
+    nodes = [b + (b >= x) for b in range(row.bit_length()) if row >> b & 1]
+    if len(nodes) % 2 == 0:
+        nodes.append(x)
+    return tuple(sorted(nodes))
+
+
+def _edges_by_channel(net: Network, channel: np.ndarray) -> list[list[int]]:
+    """The edges on each channel, in edge-index order."""
     on_channel: list[list[int]] = [[] for _ in range(net.n_channels)]
     for e, c in enumerate(channel.tolist()):
         on_channel[c].append(e)
-    lattice = np.empty(1 << n, dtype=weights.dtype)
-    cube = lattice.reshape((2,) * n)
-    column = np.empty(len(masks), dtype=weights.dtype)
+    return on_channel
+
+
+def _parity_node(net: Network, on_channel: list[list[int]]) -> int:
+    """The parity node of the lattice: node n-1 below ``_PIN_FROM_NODES``
+    nodes, and from there the node whose first edge comes latest in the
+    channels' edge lists, summed over the channels (the highest such node
+    on ties), as an edge at the parity node frees every pinned axis."""
+    n = net.n_nodes
+    if n < _PIN_FROM_NODES:
+        return n - 1
+    late = [0] * n
+    for edges in on_channel:
+        first = [len(edges)] * n
+        for i in range(len(edges) - 1, -1, -1):
+            u, v = net.edges[edges[i]]
+            first[u] = first[v] = i
+        late = [a + b for a, b in zip(late, first)]
+    return max(range(n), key=lambda v: (late[v], v))
+
+
+def _lattice_columns(
+    net: Network, on_channel: list[list[int]], weights: np.ndarray, x: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (c, induced load of every odd set) per loaded channel c, the
+    edges ``on_channel[c]`` being on it, in the rows of the parity lattice
+    with parity node x (:func:`_row_set` maps a row to its set).
+
+    One 2^(n-1) buffer of the weights' dtype, viewed as an (n-1)-dimensional
+    2x...x2 array in which bit b is axis n-2-b, is yielded itself and
+    overwritten by the next channel.  Each edge adds its weight, in
+    edge-index order: an edge (u, v) away from x to the quarter with both u
+    and v inside, an edge (u, x) through the index ``at_x`` of
+    :func:`_parity_rows` to the even-popcount rows holding u.  From
+    ``_PIN_FROM_NODES`` nodes up, a node's axis stays pinned at index 0
+    until the channel's first edge at that node: the channel starts from
+    the one cell ``lattice[0]``, the filled slice is copied to the node's
+    side 1 just before that edge adds, and the axes of nodes the channel
+    never touches are spread after its last edge.  Until an edge at the
+    node or at x adds, both sides of its axis hold equal values (an edge at
+    x adds to one side's even rows and the other side's odd ones), so an
+    edge at x first frees every axis.  Every odd set thus receives the same
+    additions in the same order either way.  Complex weights add part by
+    part with the same IEEE additions, so each part equals the lattice of
+    that part alone bit for bit.  No BLAS involved, so results are bitwise
+    reproducible.
+    """
+    n = net.n_nodes
+    _, at_x = _parity_rows(n)
+    lattice = np.empty(1 << (n - 1), dtype=weights.dtype)
+    cube = lattice.reshape((2,) * (n - 1))
     every = slice(None)
     pin = n >= _PIN_FROM_NODES
+    bit = [v - (v > x) for v in range(n)]  # bit[x] unused
+    axis_of = [n - 2 - b for b in bit]
 
     def free(at: list[slice | int], axis: int) -> None:
         # copy the filled slice from the pinned axis' side 0 to its side 1;
@@ -202,30 +253,37 @@ def _lattice_columns(
         np.positive(side0, out=cube[(*at, ...)])
         at[axis] = every
 
+    def free_all(at: list[slice | int]) -> None:
+        # innermost axes first, so the large late copies run along outer axes
+        for axis in reversed(range(n - 1)):
+            if at[axis] is not every:
+                free(at, axis)
+
     for c, edges in enumerate(on_channel):
         if not edges:
             continue
         # per axis: 0 while the node's axis is pinned, the full slice once free
-        at: list[slice | int] = [0 if pin else every] * n
+        at: list[slice | int] = [0 if pin else every] * (n - 1)
         if pin:
             lattice[0] = 0.0
         else:
             lattice.fill(0.0)
         for e in edges:
             u, v = net.edges[e]
-            for axis in (n - 1 - u, n - 1 - v):
+            if x == u or x == v:
+                free_all(at)
+                # unbuffered, and the rows are distinct: one add per row
+                np.add.at(lattice, at_x[bit[u + v - x]], weights[e])
+                continue
+            for axis in (axis_of[u], axis_of[v]):
                 if at[axis] is not every:
                     free(at, axis)
             inside = list(at)
-            inside[n - 1 - u] = inside[n - 1 - v] = 1
+            inside[axis_of[u]] = inside[axis_of[v]] = 1
             quarter = cube[(*inside, ...)]
             quarter += weights[e]
-        for axis in range(n):
-            if at[axis] is not every:
-                free(at, axis)
-        # masks are always in range; "clip" writes straight into the buffer
-        np.take(lattice, masks, out=column, mode="clip")
-        yield c, column
+        free_all(at)
+        yield c, lattice
 
 
 def _topk_sum(columns: Iterable[np.ndarray], k: int, rows: int) -> np.ndarray:
@@ -263,7 +321,7 @@ def _triple_loads(
     The sets are listed as wedges, two edges e < f at one node; a triangle
     holds three wedges and is kept once, from its two lowest-index edges.
     Each row adds each of its edges e in column channel[e], in edge-index
-    order as the subset lattice does, so the rows equal the lattice's 3-node
+    order as the parity lattice does, so the rows equal the lattice's 3-node
     rows bit for bit.  The table has the weights' dtype and is column-major.
     Costs O(sum of squared degrees) plus an n x n edge-id table.
     """
@@ -298,7 +356,7 @@ def _set_loads(
     net: Network, channel: np.ndarray, weights: np.ndarray, nodes: tuple[int, ...]
 ) -> np.ndarray:
     """Per-channel induced load of one node set, each edge e added at
-    channel[e] in edge-index order as the subset lattice adds them, so bit
+    channel[e] in edge-index order as the parity lattice adds them, so bit
     for bit equal to the set's lattice cells."""
     inside = set(nodes)
     loads = np.zeros(net.n_channels, dtype=weights.dtype)
@@ -308,9 +366,10 @@ def _set_loads(
     return loads
 
 
-def _first_set(masks: np.ndarray, hit: np.ndarray) -> tuple[int, ...]:
-    """Nodes of the lexicographically first set among the ``hit`` rows."""
-    return min(_mask_nodes(masks[i]) for i in np.flatnonzero(hit))
+def _first_set(hit: np.ndarray, x: int) -> tuple[int, ...]:
+    """Nodes of the lexicographically first set among the ``hit`` rows of the
+    parity lattice with parity node x."""
+    return min(_row_set(int(r), x) for r in np.flatnonzero(hit))
 
 
 def _best_channel_set(loads_row: np.ndarray, k_eff: int) -> tuple[int, ...]:
@@ -349,23 +408,25 @@ def max_node_load(
 
 def _odd_set_extremes(
     net: Network, channel: np.ndarray, weights: np.ndarray, k_eff: int, mode: str
-) -> tuple[np.ndarray | None, np.ndarray | int, np.ndarray, np.ndarray]:
-    """(masks, sizes, top, peak) over the odd sets ``mode`` lists: every odd
-    set in exact mode (streamed from the lattice, one column per channel),
-    and in bracket mode the 3-node sets with two or three edges (the wedge
-    table's columns), without masks.
+) -> tuple[int | None, np.ndarray | int, np.ndarray, np.ndarray]:
+    """(x, sizes, top, peak) over the rows ``mode`` lists: in exact mode the
+    parity lattice's rows, one per odd set (streamed one channel at a time,
+    with parity node x), and in bracket mode the 3-node sets with two or
+    three edges (the wedge table's columns), without x.
 
-    ``weights`` packs two weights into one complex vector.  Per set, ``top``
+    ``weights`` packs two weights into one complex vector.  Per row, ``top``
     is :func:`_topk_sum` of its channel loads' real parts and ``peak`` the
     largest imaginary part, folded in as each column comes; the unloaded
     channels left out of the stream change neither.
     """
     if mode == "exact":
-        masks, sizes = _odd_masks(net.n_nodes)
-        rows = len(masks)
-        columns = _lattice_columns(net, channel, weights)
+        on_channel = _edges_by_channel(net, channel)
+        x = _parity_node(net, on_channel)
+        sizes, _ = _parity_rows(net.n_nodes)
+        rows = len(sizes)
+        columns = _lattice_columns(net, on_channel, weights, x)
     else:
-        masks, sizes = None, 3
+        x, sizes = None, 3
         table = _triple_loads(net, channel, weights)
         rows = len(table)
         columns = enumerate(table.T)
@@ -376,7 +437,7 @@ def _odd_set_extremes(
             np.maximum(peak, column.imag, out=peak)
             yield column.real
 
-    return masks, sizes, _topk_sum(real_parts(), k_eff, rows), peak
+    return x, sizes, _topk_sum(real_parts(), k_eff, rows), peak
 
 
 def _lists_every_odd_set(net: Network, mode: str) -> bool:
@@ -597,7 +658,7 @@ def evaluate(
         demands = net.demand_array
         weights = np.empty(net.n_edges, dtype=np.complex128)
         weights.real, weights.imag = demands, rho
-        masks, sizes, top, peak = _odd_set_extremes(net, channel, weights, k_eff, mode)
+        x, sizes, top, peak = _odd_set_extremes(net, channel, weights, k_eff, mode)
         limits = (sizes - 1) / 2.0  # >= 1, so an unloaded set gives inf
         # a tiny demand may scale to a subnormal value, rounded as it should be
         with np.errstate(divide="ignore", under="ignore"):
@@ -608,10 +669,10 @@ def evaluate(
         if mode == "exact":
             # witnesses: the lexicographically first node set attaining each
             # extreme (node sets are distinct, so one row), then its channels
-            nodes = _first_set(masks, top == m2_lo)
+            nodes = _first_set(top == m2_lo, x)
             loads = _set_loads(net, channel, weights, nodes)
             wit_m2 = OddSetLoadWitness(nodes, _best_channel_set(loads.real, k_eff))
-            nodes = _first_set(masks, peak == z2_hi)
+            nodes = _first_set(peak == z2_hi, x)
             limit = (len(nodes) - 1) / 2.0
             with np.errstate(divide="ignore"):
                 loads = limit / _set_loads(net, channel, weights, nodes).imag

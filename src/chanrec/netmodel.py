@@ -264,11 +264,19 @@ def _float(x: object, where: str) -> float:
         raise FormatError(f"{where}: number out of range") from None
 
 
-def parse_network(text: str | bytes) -> Network:
+def _load_json(text: str | bytes, what: str) -> object:
+    """The value of the JSON document ``text``; invalid JSON, and JSON nested
+    deeper than the decoder's recursion allows, are a FormatError."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise FormatError(f"network document is not valid JSON: {exc}") from exc
+        raise FormatError(f"{what} document is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise FormatError(f"{what} document is nested too deeply") from None
+
+
+def parse_network(text: str | bytes) -> Network:
+    doc = _load_json(text, "network")
     _require(isinstance(doc, dict), "network document must be a JSON object")
     for key in ("nodes", "channels", "edges", "capacity"):
         _require(key in doc, f"missing field '{key}'")
@@ -300,7 +308,9 @@ def parse_network(text: str | bytes) -> Network:
         u, v = node_index[rec["u"]], node_index[rec["v"]]
         _require(u != v, f"edges[{i}]: self loop at '{rec['u']}'")
         edges.append((min(u, v), max(u, v)))
-        demands.append(_number(rec["demand"], f"edges[{i}].demand"))
+        # a float needs no check; the location is built only for the others
+        d = rec["demand"]
+        demands.append(d if type(d) is float else _number(d, f"edges[{i}].demand"))
 
     cap = doc["capacity"]
     m, w = len(edges), len(channels)
@@ -316,9 +326,12 @@ def parse_network(text: str | bytes) -> Network:
                 isinstance(row, list) and len(row) == m,
                 f"capacity[{wi}]: expected {m} entries",
             )
-            rows.append(
-                tuple(_number(c, f"capacity[{wi}][{i}]") for i, c in enumerate(row))
-            )
+            if set(map(type, row)) <= {float}:
+                rows.append(tuple(row))
+            else:
+                rows.append(
+                    tuple(_number(c, f"capacity[{wi}][{i}]") for i, c in enumerate(row))
+                )
         matrix = tuple(rows)
 
     return Network(
@@ -349,10 +362,7 @@ def serialize_network(net: Network) -> str:
 
 
 def parse_assignment(text: str | bytes, net: Network) -> ChannelAssignment:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"assignment document is not valid JSON: {exc}") from exc
+    doc = _load_json(text, "assignment")
     _require(isinstance(doc, dict) and "assignment" in doc, "missing field 'assignment'")
     amap = doc["assignment"]
     _require(isinstance(amap, dict), "assignment: expected an object")

@@ -35,12 +35,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .assign import greedy_assign, ifa_assign, random_assign
-from .metrics import ODDSET_EXACT_CAP, TOL, _odd_masks, _topk_sum, capacity_floor
+from .metrics import ODDSET_EXACT_CAP, TOL, _topk_sum, capacity_floor
 from .netmodel import ChannelAssignment, Network
 
 DEFAULT_LEAF_BUDGET = 10_000_000
@@ -87,6 +88,15 @@ class OracleResult:
 
 
 # -- shared odd-set tables ------------------------------------------------
+
+
+@lru_cache(maxsize=8)
+def _odd_masks(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bitmasks of all odd node subsets of size >= 3, with their sizes."""
+    masks = np.arange(1 << n_nodes, dtype=np.int64)
+    sizes = np.bitwise_count(masks)  # uint8
+    keep = (sizes % 2 == 1) & (sizes >= 3)
+    return masks[keep], sizes[keep]
 
 
 def _odd_membership(net: Network) -> tuple[np.ndarray, np.ndarray]:

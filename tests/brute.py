@@ -3,7 +3,9 @@
 Everything here enumerates explicitly, channel subsets included, and stays
 deliberately independent of the implementation under test.  Only usable on
 tiny instances, except the per-edge load loops (``node_loads``,
-``wedge_loads``), which cost O(sum of squared degrees) and run at any size.
+``wedge_loads``), which cost O(sum of squared degrees) and run at any size,
+and ``odd_mask_loads``, which is numpy over 2^(n-1) masks and runs to about
+20 nodes.
 """
 
 import itertools
@@ -78,6 +80,20 @@ def wedge_loads(net, y, weights):
                 load[y.channel_of[g]] += weights[g]
             rows[tuple(sorted((v, a, b)))] = load
     return rows
+
+
+def odd_mask_loads(net, y, weights):
+    """(masks, loads[i, w]) of every odd node set, as ascending bitmasks
+    (singletons included): for each edge in edge order, its weight added on
+    its channel to every odd mask that holds both its ends."""
+    weights = np.asarray(weights)
+    masks = np.arange(1 << net.n_nodes, dtype=np.int64)
+    masks = masks[np.bitwise_count(masks) % 2 == 1]
+    loads = np.zeros((net.n_channels, len(masks)), dtype=weights.dtype)
+    for e, (u, v) in enumerate(net.edges):
+        hold = (masks >> u) & (masks >> v) & 1 == 1
+        loads[y.channel_of[e], hold] += weights[e]
+    return masks, loads.T
 
 
 def brute_m1(net, y, k):

@@ -194,6 +194,22 @@ def test_non_string_names_exit_2_without_traceback(tmp_path, k3_file):
         assert "Traceback" not in err and msg in err
 
 
+@pytest.mark.parametrize("flag, kind", [("--net", "network"), ("--assignment", "assignment")])
+def test_deeply_nested_document_exits_2(tmp_path, k3_file, capsys, flag, kind):
+    # a field nested 10^5 levels deep, far past the JSON decoder's recursion
+    depth = 10**5
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"edges": ' + "[" * depth + "]" * depth + "}")
+    y = tmp_path / "y.json"
+    y.write_text(json.dumps({"assignment": {"0": "w0", "1": "w1", "2": "w2"}}))
+    files = {"--net": k3_file, "--assignment": str(y), flag: str(deep)}
+    argv = ["eval", "--net", files["--net"], "--assignment", files["--assignment"]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {kind} document is nested too deeply\n"
+
+
 def test_oddset_cap_over_limit_rejected_before_allocation(tmp_path, capsys, monkeypatch):
     def eval_args(n_nodes):
         net = make_network(n_nodes, [(0, 1), (1, 2)], [1.0, 2.0], 1)
@@ -210,7 +226,7 @@ def test_oddset_cap_over_limit_rejected_before_allocation(tmp_path, capsys, monk
     def no_tables(n_nodes):
         raise AssertionError("odd-set tables allocated")
 
-    monkeypatch.setattr(metrics, "_odd_masks", no_tables)
+    monkeypatch.setattr(metrics, "_parity_rows", no_tables)
     assert main(eval_args(metrics.ODDSET_CAP_LIMIT + 1)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

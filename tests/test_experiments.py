@@ -276,6 +276,31 @@ def test_scaling_uniform_demand_respects_coloring_bound():
         assert rec.capacity_lo <= bound + TOL
 
 
+def test_scaling_records_sit_in_the_node_term_sandwich():
+    # (k_eff/|W|) D_max <= m1 <= capacity_lo <= capacity_hi <= 1.5 m1 <=
+    # 1.5 D_max, with D_max the largest node demand: the busiest node puts
+    # at least k_eff/|W| of its demand on its top k_eff channels, and the
+    # odd-set term never exceeds 1.5 m1.  Sizes on both sides of
+    # ODDSET_EXACT_CAP, so exact and bracket rows both take part
+    sizes = [10, ODDSET_EXACT_CAP + 2, 40]
+    slack = 1.0 + 1e-12
+    for k in (1, 2):
+        records, _ = run_scaling_study(
+            sizes=sizes, channel_counts=[2, 3], k=k, trials=2, seed=37
+        )
+        assert len(records) == 2 * 3 * 2
+        for rec in records:
+            spec = InstanceSpec(n_nodes=rec.n_nodes, n_channels=rec.n_channels)
+            d_max = float(generate_instance(spec, rec.seed).node_demand.max())
+            k_eff = min(rec.k, rec.n_channels)
+            chain = [
+                k_eff / rec.n_channels * d_max, rec.m1, rec.capacity_lo,
+                rec.capacity_hi, 1.5 * rec.m1, 1.5 * d_max,
+            ]
+            for lo, hi in zip(chain, chain[1:]):
+                assert lo <= hi * slack, (rec, chain)
+
+
 def test_gap_study_cells_and_flags():
     records, summ = run_gap_study(
         sizes=[6],

@@ -2,6 +2,7 @@
 enumeration, and the stated bounds."""
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -20,6 +21,7 @@ from brute import (
     is_bipartite,
     node_channel_load,
     node_loads,
+    odd_mask_loads,
     wedge_loads,
 )
 from chanrec import metrics
@@ -113,7 +115,7 @@ def test_odd_set_cap_limit_checked_before_allocation(monkeypatch):
     def no_tables(n_nodes):
         raise AssertionError("odd-set tables allocated")
 
-    monkeypatch.setattr(metrics, "_odd_masks", no_tables)
+    monkeypatch.setattr(metrics, "_parity_rows", no_tables)
     at_limit = make_network(ODDSET_CAP_LIMIT, [], [], 1)
     assert metrics._resolve_mode(at_limit, "exact") == "exact"
     over = make_network(ODDSET_CAP_LIMIT + 1, [(0, 1), (1, 2)], [1.0, 2.0], 1)
@@ -399,56 +401,113 @@ def _direct_oddset_loads(net, y, weights):
     return masks, loads
 
 
-def _lattice_table(net, y, weights):
-    """(masks, sizes, loads[odd set, channel]) gathered from the columns the
-    lattice streams; unloaded channels stay zero."""
-    masks, sizes = metrics._odd_masks(net.n_nodes)
-    loads = np.zeros((len(masks), net.n_channels), dtype=weights.dtype)
-    for c, column in metrics._lattice_columns(net, _channel(y), weights):
-        loads[:, c] = column
-    return masks, sizes, loads
+@functools.lru_cache(maxsize=None)
+def _row_masks(n, x):
+    """The node-set bitmask of each parity-lattice row, by ``_row_set``."""
+    rows = range(1 << (n - 1))
+    return np.array([sum(1 << v for v in metrics._row_set(r, x)) for r in rows])
+
+
+def _lattice_table(net, y, weights, x=None):
+    """(masks, sizes, loads[odd set, channel]) of the odd sets of size >= 3,
+    in mask order, read off the parity lattice's rows through the row-to-set
+    map with parity node x (by default the one evaluate picks); unloaded
+    channels stay zero.  The n singleton rows must hold no load and size 3."""
+    n = net.n_nodes
+    on_channel = metrics._edges_by_channel(net, _channel(y))
+    if x is None:
+        x = metrics._parity_node(net, on_channel)
+    row_sizes, _ = metrics._parity_rows(n)
+    rows = np.zeros((len(row_sizes), net.n_channels), dtype=weights.dtype)
+    for c, column in metrics._lattice_columns(net, on_channel, weights, x):
+        rows[:, c] = column
+    masks = _row_masks(n, x)
+    single = np.bitwise_count(masks) == 1
+    assert single.sum() == n and not rows[single].any()
+    assert (row_sizes[single] == 3).all()
+    keep = np.flatnonzero(~single)
+    keep = keep[np.argsort(masks[keep])]
+    return masks[keep], row_sizes[keep], rows[keep]
 
 
 def _bits(a):
     return a.view(np.int64)
 
 
-def test_oddset_loads_match_direct_per_subset_sums_bitwise():
+def test_oddset_loads_match_direct_per_subset_sums_bitwise(monkeypatch):
     # uniform random demands and capacities are not dyadic, so a change in
-    # summation order would change the last bits; the sizes span both sides
-    # of the size from which the lattice pins untouched nodes' axes.  Demand
+    # summation order would change the last bits.  Pinning starts at 9 nodes
+    # here, so the sizes span both sides of it; the parity node is node 0,
+    # node n-1 and the one evaluate picks.  With node 0 as parity node, the
+    # third assignment puts only its edges on channel 0, so that channel's
+    # first edge is at the parity node, and none on channel w-1 > 0.  Demand
     # and rho packed into one complex vector give each part bit for bit.
+    monkeypatch.setattr(metrics, "_PIN_FROM_NODES", 9)
     rng = np.random.default_rng(407)
-    assert 3 < metrics._PIN_FROM_NODES < 16
     for n in range(3, 16):
         for w in range(1, 5):
             seed = int(rng.integers(0, 2**63))
             net = generate_instance(InstanceSpec(n_nodes=n, n_channels=w), seed)
             if net.n_edges == 0:
                 continue
-            # the second assignment leaves channel 1 (and 3) without edges;
-            # the third leaves node 0 without edges on channel w-1 > 0
+            # the second assignment leaves channel 1 (and 3) without edges
             sparse = rng.choice(range(0, w, 2), size=net.n_edges)
             for y in (
                 random_assign(net, seed),
                 ChannelAssignment(tuple(int(c) for c in sparse)),
                 ChannelAssignment(tuple(0 if 0 in uv else w - 1 for uv in net.edges)),
             ):
+                on_channel = metrics._edges_by_channel(net, _channel(y))
+                picked = metrics._parity_node(net, on_channel)
+                assert picked == n - 1 or n >= 9
                 demands = np.asarray(net.demands)
                 rho = net.rho[np.arange(net.n_edges), y.channel_of]
-                wants = []
-                for weights in (demands, rho):
-                    masks, sizes, loads = _lattice_table(net, y, weights)
-                    want_masks, want = _direct_oddset_loads(net, y, weights)
-                    assert masks.tolist() == want_masks, (n, w)
-                    assert sizes.tolist() == [m.bit_count() for m in want_masks]
-                    assert np.array_equal(_bits(loads), _bits(want)), (n, w, y)
-                    wants.append(want)
                 packed = np.empty(net.n_edges, dtype=np.complex128)
                 packed.real, packed.imag = demands, rho
-                _, _, loads = _lattice_table(net, y, packed)
-                assert np.array_equal(_bits(loads.real), _bits(wants[0])), (n, w, y)
-                assert np.array_equal(_bits(loads.imag), _bits(wants[1])), (n, w, y)
+                want_masks, want_demand = _direct_oddset_loads(net, y, demands)
+                _, want_rho = _direct_oddset_loads(net, y, rho)
+                for x in sorted({0, n - 1, picked}):
+                    for weights, want in ((demands, want_demand), (rho, want_rho)):
+                        masks, sizes, loads = _lattice_table(net, y, weights, x)
+                        assert masks.tolist() == want_masks, (n, w, x)
+                        assert sizes.tolist() == [m.bit_count() for m in want_masks]
+                        assert np.array_equal(_bits(loads), _bits(want)), (n, w, x, y)
+                    _, _, loads = _lattice_table(net, y, packed, x)
+                    assert np.array_equal(_bits(loads.real), _bits(want_demand))
+                    assert np.array_equal(_bits(loads.imag), _bits(want_rho))
+
+
+def test_parity_lattice_matches_odd_mask_reference_at_16_to_18_bitwise():
+    # the golden file checks these sizes only through their extremes and
+    # witnesses; here every row of the pinned lattice, with the parity node
+    # evaluate picks and with node 0, against the mask-space loads
+    assert metrics._PIN_FROM_NODES <= 16
+    rng = np.random.default_rng(410)
+    for n in (16, 17, 18):
+        seed = int(rng.integers(0, 2**63))
+        net = generate_instance(InstanceSpec(n_nodes=n, n_channels=3), seed)
+        sizes, _ = metrics._parity_rows(n)
+        for y in (greedy_assign(net), random_assign(net, seed)):
+            packed = np.empty(net.n_edges, dtype=np.complex128)
+            packed.real = net.demands
+            packed.imag = net.rho[np.arange(net.n_edges), y.channel_of]
+            masks, want = odd_mask_loads(net, y, packed)
+            on_channel = metrics._edges_by_channel(net, _channel(y))
+            for x in sorted({0, metrics._parity_node(net, on_channel)}):
+                rows = np.zeros((len(sizes), net.n_channels), dtype=np.complex128)
+                for c, column in metrics._lattice_columns(net, on_channel, packed, x):
+                    rows[:, c] = column
+                # row r's mask: bits from x up move up one, x joins even rows
+                r = np.arange(len(sizes), dtype=np.int64)
+                low = r & ((1 << x) - 1)
+                even = np.bitwise_count(r) % 2 == 0
+                row_masks = low | (r ^ low) << 1 | even.astype(np.int64) << x
+                order = np.argsort(row_masks)
+                assert np.array_equal(row_masks[order], masks), (n, x)
+                assert np.array_equal(sizes, np.maximum(np.bitwise_count(row_masks), 3))
+                got = rows[order]
+                assert np.array_equal(_bits(got.real), _bits(want.real)), (n, x)
+                assert np.array_equal(_bits(got.imag), _bits(want.imag)), (n, x)
 
 
 def test_witnesses_follow_the_tie_rule_on_uniform_networks():
@@ -503,7 +562,7 @@ def test_witnesses_follow_the_tie_rule_on_uniform_networks():
 
 
 def _lattice_triples(net, y, weights):
-    """The subset lattice's rows of the 3-node sets with two or three edges."""
+    """The parity lattice's rows of the 3-node sets with two or three edges."""
     masks, sizes, loads = _lattice_table(net, y, weights)
     keep = []
     for i in np.flatnonzero(sizes == 3):
